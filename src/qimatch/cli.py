@@ -10,23 +10,26 @@ import json
 import sys
 from pathlib import Path
 
-from . import config
-from .conflict import MatchParams, build_conflict_graph, generate_candidates
+from .conflict import MatchParams
 from .detector import DetectorParams, detect, read_pgm
 from .errors import InfeasibleSolutionError, ParseError
-from .graph_model import GeomWeights, ImageGraph
+from .graph_model import ImageGraph
 from .pipeline import (
+    QUBO_SOLVERS,
+    SOLVER_NAMES,
     SyntheticSpec,
+    conflict_graph,
     conflict_graph_to_dot,
     generate_synthetic,
     graph_to_json,
     match_images,
     match_result_to_json,
     read_graph,
+    solve_qubo,
     write_graph,
 )
 from .qubo import mis_to_qubo, read_qubo, write_qubo
-from .solvers import AnnealSchedule, solve_exact, solve_sa
+from .solvers import AnnealSchedule
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,21 +47,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_match_flags(sp, with_solver=True):
-    sp.add_argument("--tfeat", type=float, default=0.8, help="candidate admission threshold")
-    sp.add_argument("--tgeom", type=float, default=0.0, help="geometric conflict threshold")
-    sp.add_argument("--limit", type=int, default=512, help="conflict graph vertex cap")
+    sp.add_argument(
+        "--tfeat", type=float, default=MatchParams.t_feat, help="candidate admission threshold"
+    )
+    sp.add_argument(
+        "--tgeom", type=float, default=MatchParams.t_geom, help="geometric conflict threshold"
+    )
+    sp.add_argument(
+        "--limit", type=int, default=MatchParams.limit_l, help="conflict graph vertex cap"
+    )
     if with_solver:
-        sp.add_argument("--solver", choices=("exact", "bnb", "sa"), default="bnb")
-        sp.add_argument("--seed", type=int, default=0, help="annealing seed")
+        sp.add_argument("--solver", choices=SOLVER_NAMES, default="bnb")
+        sp.add_argument("--seed", type=int, default=AnnealSchedule.seed, help="annealing seed")
 
 
 def _match_params(args) -> MatchParams:
-    return MatchParams(
-        t_feat=args.tfeat,
-        t_geom=args.tgeom,
-        limit_l=args.limit,
-        geom_weights=GeomWeights(),
-    )
+    return MatchParams(t_feat=args.tfeat, t_geom=args.tgeom, limit_l=args.limit)
 
 
 def _load_pair(args) -> tuple[ImageGraph, ImageGraph]:
@@ -108,16 +112,13 @@ def cmd_match(args):
         g2,
         _match_params(args),
         solver=args.solver,
-        schedule=config.default_anneal_schedule(seed=args.seed),
+        schedule=AnnealSchedule(seed=args.seed),
     )
     Path(args.output).write_text(match_result_to_json(result))
 
 
 def cmd_export_qubo(args):
-    g1, g2 = _load_pair(args)
-    params = _match_params(args)
-    candidates = generate_candidates(g1, g2, params)
-    gc = build_conflict_graph(g1, g2, candidates, params)
+    gc = conflict_graph(*_load_pair(args), _match_params(args))
     q = mis_to_qubo(gc)
     Path(args.output).write_text(write_qubo(q))
     labels = {str(k): [c.i, c.alpha] for k, c in enumerate(gc.vertices)}
@@ -126,18 +127,12 @@ def cmd_export_qubo(args):
 
 def cmd_solve(args):
     q = read_qubo(Path(args.qubo).read_text())
-    if args.solver == "exact":
-        res = solve_exact(q)
-    else:
-        res = solve_sa(q, AnnealSchedule(seed=args.seed))
+    res = solve_qubo(q, args.solver, AnnealSchedule(seed=args.seed))
     Path(args.output).write_text("".join(f"{b}\n" for b in res.best.bits))
 
 
 def cmd_export_dot(args):
-    g1, g2 = _load_pair(args)
-    params = _match_params(args)
-    candidates = generate_candidates(g1, g2, params)
-    gc = build_conflict_graph(g1, g2, candidates, params)
+    gc = conflict_graph(*_load_pair(args), _match_params(args))
     Path(args.output).write_text(conflict_graph_to_dot(gc))
 
 
@@ -148,25 +143,25 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("detect", help="detect interest points in a PGM image")
     sp.add_argument("image")
     sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--scales", type=int, default=8)
-    sp.add_argument("--sigma0", type=float, default=2.0)
-    sp.add_argument("--scale-step", type=float, default=1.4)
-    sp.add_argument("--threshold", type=float, default=0.02)
-    sp.add_argument("--max-points", type=int, default=500)
-    sp.add_argument("--bins", type=int, default=16)
+    sp.add_argument("--scales", type=int, default=DetectorParams.n_scales)
+    sp.add_argument("--sigma0", type=float, default=DetectorParams.sigma0)
+    sp.add_argument("--scale-step", type=float, default=DetectorParams.scale_step)
+    sp.add_argument("--threshold", type=float, default=DetectorParams.response_threshold)
+    sp.add_argument("--max-points", type=int, default=DetectorParams.max_points)
+    sp.add_argument("--bins", type=int, default=DetectorParams.descriptor_bins)
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("gen", help="generate a synthetic graph pair with ground truth")
-    sp.add_argument("--inliers", type=int, default=8)
-    sp.add_argument("--outliers", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rotation", type=float, default=0.0)
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--tx", type=float, default=0.0)
-    sp.add_argument("--ty", type=float, default=0.0)
-    sp.add_argument("--position-noise", type=float, default=0.0)
-    sp.add_argument("--descriptor-noise", type=float, default=0.0)
-    sp.add_argument("--dim", type=int, default=16)
+    sp.add_argument("--inliers", type=int, default=SyntheticSpec.n_inliers)
+    sp.add_argument("--outliers", type=int, default=SyntheticSpec.n_outliers_per_image)
+    sp.add_argument("--seed", type=int, default=SyntheticSpec.seed)
+    sp.add_argument("--rotation", type=float, default=SyntheticSpec.rotation)
+    sp.add_argument("--scale", type=float, default=SyntheticSpec.scale)
+    sp.add_argument("--tx", type=float, default=SyntheticSpec.translation[0])
+    sp.add_argument("--ty", type=float, default=SyntheticSpec.translation[1])
+    sp.add_argument("--position-noise", type=float, default=SyntheticSpec.position_noise)
+    sp.add_argument("--descriptor-noise", type=float, default=SyntheticSpec.descriptor_noise)
+    sp.add_argument("--dim", type=int, default=SyntheticSpec.descriptor_dim)
     sp.add_argument("-o", "--output", required=True, help="output file prefix")
     sp.set_defaults(func=cmd_gen)
 
@@ -186,8 +181,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="solve a QUBO file")
     sp.add_argument("qubo")
-    sp.add_argument("--solver", choices=("exact", "sa"), default="exact")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--solver", choices=QUBO_SOLVERS, default="exact")
+    sp.add_argument("--seed", type=int, default=AnnealSchedule.seed)
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(func=cmd_solve)
 

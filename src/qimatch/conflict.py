@@ -67,13 +67,6 @@ class ConflictGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def generate_candidates(
     g1: ImageGraph, g2: ImageGraph, p: MatchParams

@@ -148,7 +148,9 @@ def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[Inter
     Extrema are strict 3x3x3 extrema of the response stack with
     |response| > response_threshold; the outermost pixel frame and scale
     layers are discarded.  Candidates are ranked by |response| descending
-    (ties by scale index, then y, then x) and truncated to max_points.
+    (ties by scale index, then y, then x); at each pixel only the
+    highest-ranked extremum is kept, since two points at one position have no
+    relative pose.  The survivors are truncated to max_points.
     """
     sigmas = p.sigmas
     blurred = [_gaussian_blur(img.pixels, s) for s in sigmas]
@@ -174,10 +176,12 @@ def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[Inter
             candidates.append((float(abs(stack[k, y, x])), k, int(y), int(x)))
 
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-    del candidates[p.max_points :]
+    strongest = {}
+    for c in candidates:
+        strongest.setdefault(c[2:], c)
 
     points = []
-    for _, k, y, x in candidates:
+    for _, k, y, x in list(strongest.values())[: p.max_points]:
         b = blurred[k]
         gx = 0.5 * (b[y, x + 1] - b[y, x - 1])
         gy = 0.5 * (b[y + 1, x] - b[y - 1, x])

@@ -9,7 +9,7 @@ global translation, rotation and uniform scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +43,19 @@ class InterestPoint:
     descriptor: np.ndarray
 
     def __post_init__(self):
+        for name in ("x", "y", "scale", "orientation"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
         desc = np.asarray(self.descriptor, dtype=float)
         if desc.ndim != 1 or desc.size == 0:
             raise ValueError("descriptor must be a non-empty 1-d vector")
         norm = float(np.linalg.norm(desc))
+        if not math.isfinite(norm):  # any NaN or infinite entry lands here
+            raise ValueError(f"descriptor norm is {norm}; entries must be finite")
         if norm == 0.0:
             raise ValueError("zero-norm descriptor rejected (broken detector?)")
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
@@ -57,10 +64,7 @@ class InterestPoint:
             desc = desc.copy()
         desc.setflags(write=False)
         object.__setattr__(self, "descriptor", desc)
-        object.__setattr__(self, "orientation", wrap_angle(float(self.orientation)))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "orientation", wrap_angle(self.orientation))
 
 
 @dataclass(frozen=True)

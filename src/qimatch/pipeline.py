@@ -5,25 +5,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .conflict import (
-    ConflictGraph,
-    MatchCandidate,
-    MatchParams,
-    build_conflict_graph,
-    generate_candidates,
-)
+from .conflict import ConflictGraph, MatchParams, build_conflict_graph, generate_candidates
 from .errors import InfeasibleSolutionError, ParseError
 from .graph_model import ImageGraph, InterestPoint, wrap_angle
-from .qubo import Assignment, mis_to_qubo
+from .qubo import Assignment, QuboInstance, mis_to_qubo
 from .rng import Xorshift64Star
-from .solvers import AnnealSchedule, solve_exact, solve_mis_bnb, solve_sa
+from .solvers import AnnealSchedule, SolveResult, solve_exact, solve_mis_bnb, solve_sa
 
-SOLVER_NAMES = ("exact", "bnb", "sa")
+QUBO_SOLVERS = ("exact", "sa")
+SOLVER_NAMES = ("bnb", *QUBO_SOLVERS)
 
 
 class GraphFormatError(ParseError):
@@ -168,35 +163,43 @@ def generate_synthetic(
         )
 
     inliers1 = [random_point() for _ in range(spec.n_inliers)]
-    cos_r, sin_r = math.cos(spec.rotation), math.sin(spec.rotation)
-    tx, ty = spec.translation
+    moved = apply_similarity(
+        ImageGraph(points=tuple(inliers1)), spec.rotation, spec.scale, spec.translation
+    )
     inliers2 = []
-    for p in inliers1:
-        x = spec.scale * (cos_r * p.x - sin_r * p.y) + tx
-        y = spec.scale * (sin_r * p.x + cos_r * p.y) + ty
+    for p in moved.points:
+        x, y, desc = p.x, p.y, p.descriptor
         if spec.position_noise > 0:
             x += spec.position_noise * rng.normal()
             y += spec.position_noise * rng.normal()
-        desc = p.descriptor
         if spec.descriptor_noise > 0:
             desc = desc + spec.descriptor_noise * np.array(
                 [rng.normal() for _ in range(spec.descriptor_dim)]
             )
-        inliers2.append(
-            InterestPoint(
-                x=x,
-                y=y,
-                scale=spec.scale * p.scale,
-                orientation=wrap_angle(p.orientation + spec.rotation),
-                descriptor=desc,
-            )
-        )
+        inliers2.append(replace(p, x=x, y=y, descriptor=desc))
     outliers1 = [random_point() for _ in range(spec.n_outliers_per_image)]
     outliers2 = [random_point() for _ in range(spec.n_outliers_per_image)]
     g1 = ImageGraph(points=tuple(inliers1 + outliers1), id=f"synthetic-{spec.seed}-1")
     g2 = ImageGraph(points=tuple(inliers2 + outliers2), id=f"synthetic-{spec.seed}-2")
     truth = tuple((k, k) for k in range(spec.n_inliers))
     return g1, g2, truth
+
+
+def conflict_graph(g1: ImageGraph, g2: ImageGraph, p: MatchParams) -> ConflictGraph:
+    """Admit candidate matches and draw their conflict edges."""
+    return build_conflict_graph(g1, g2, generate_candidates(g1, g2, p), p)
+
+
+def solve_qubo(
+    q: QuboInstance, solver: str, schedule: AnnealSchedule | None = None
+) -> SolveResult:
+    """Minimize q by enumeration ("exact") or simulated annealing ("sa");
+    schedule applies to "sa" only and defaults to AnnealSchedule()."""
+    if solver == "exact":
+        return solve_exact(q)
+    if solver == "sa":
+        return solve_sa(q, schedule if schedule is not None else AnnealSchedule())
+    raise ValueError(f"unknown QUBO solver {solver!r}; choose from {QUBO_SOLVERS}")
 
 
 def match_images(
@@ -209,8 +212,8 @@ def match_images(
     """Run the full pipeline: candidates -> conflict graph -> solver -> matches."""
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
-    candidates = generate_candidates(g1, g2, p)
-    if not candidates:
+    gc = conflict_graph(g1, g2, p)
+    if gc.n == 0:
         return MatchResult(
             pairs=(),
             similarity=0,
@@ -218,16 +221,11 @@ def match_images(
             proven_optimal=solver != "sa",
             params=p,
         )
-    gc = build_conflict_graph(g1, g2, candidates, p)
     if solver == "bnb":
         mis, proven = solve_mis_bnb(gc)
         x = Assignment(bits=tuple(1 if k in mis else 0 for k in range(gc.n)))
         return decode_matches(gc, x, solver="bnb", proven_optimal=proven)
-    q = mis_to_qubo(gc)
-    if solver == "exact":
-        res = solve_exact(q)
-    else:
-        res = solve_sa(q, schedule if schedule is not None else AnnealSchedule())
+    res = solve_qubo(mis_to_qubo(gc), solver, schedule)
     return decode_matches(gc, res.best, solver=solver, proven_optimal=res.proven_optimal)
 
 

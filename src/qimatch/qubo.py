@@ -3,7 +3,8 @@ and a qbsolv-style text format."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .conflict import ConflictGraph
 from .errors import ParseError
@@ -124,6 +125,8 @@ def read_qubo(text: str) -> QuboInstance:
             v = float(fields[2])
         except ValueError:
             raise QuboFormatError(f"line {lineno}: malformed term {line!r}") from None
+        if not math.isfinite(v):
+            raise QuboFormatError(f"line {lineno}: non-finite value {fields[2]!r}")
         if not 0 <= i <= j < n:
             raise QuboFormatError(f"line {lineno}: index pair ({i}, {j}) out of range")
         if (i, j) in terms:

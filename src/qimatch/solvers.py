@@ -74,21 +74,6 @@ def _adjacency(q: QuboInstance) -> tuple[list[float], list[list[tuple[int, float
     return diag, neighbors
 
 
-def local_field(q: QuboInstance, x: Assignment, k: int) -> float:
-    """Energy gained by setting bit k (given the other bits); flipping bit k
-    changes the energy by +field if the bit turns on, -field if it turns off."""
-    bits = x.bits
-    f = q.terms.get((k, k), 0.0)
-    for (i, j), v in q.terms.items():
-        if i == j:
-            continue
-        if i == k and bits[j]:
-            f += v
-        elif j == k and bits[i]:
-            f += v
-    return f
-
-
 def solve_exact(q: QuboInstance) -> SolveResult:
     """Enumerate all 2^n assignments; ties break toward the assignment whose
     bits, read little-endian, form the smallest integer."""
@@ -143,7 +128,8 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
 
     Branches on the highest-degree vertex of the residual graph (include
     first), pruning with the greedy clique-cover bound.  Deterministic:
-    ties break toward the lower vertex index.
+    ties break toward the lower vertex index.  The search runs on an explicit
+    stack, so its depth is not bounded by the interpreter's recursion limit.
     """
     n = gc.n
     if n == 0:
@@ -155,17 +141,17 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
 
     best_mask = 0
     best_size = 0
-    full = (1 << n) - 1
-
-    def expand(cur_mask: int, cur_size: int, p_mask: int):
-        nonlocal best_mask, best_size
+    # (selected, size, residual candidates); the top is expanded next
+    stack = [(0, 0, (1 << n) - 1)]
+    while stack:
+        cur_mask, cur_size, p_mask = stack.pop()
         if p_mask == 0:
             if cur_size > best_size:
                 best_size = cur_size
                 best_mask = cur_mask
-            return
+            continue
         if cur_size + _clique_cover_bound(p_mask, adj) <= best_size:
-            return
+            continue
         # highest residual degree, lowest index on ties
         v = -1
         v_deg = -1
@@ -177,10 +163,9 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
             if deg > v_deg:
                 v_deg = deg
                 v = u
-        expand(cur_mask | (1 << v), cur_size + 1, p_mask & ~(adj[v] | (1 << v)))
-        expand(cur_mask, cur_size, p_mask & ~(1 << v))
-
-    expand(0, 0, full)
+        # exclude pushed first so the include branch is searched first
+        stack.append((cur_mask, cur_size, p_mask & ~(1 << v)))
+        stack.append((cur_mask | (1 << v), cur_size + 1, p_mask & ~(adj[v] | (1 << v))))
     return {k for k in range(n) if (best_mask >> k) & 1}, True
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from qimatch.conflict import ConflictGraph, MatchCandidate, MatchParams
+from qimatch.qubo import Assignment, QuboInstance
 from qimatch.rng import Xorshift64Star
 
 
@@ -27,6 +28,30 @@ def random_conflict_graph(rng: Xorshift64Star, n: int, density: float) -> Confli
         edges=frozenset(edges),
         params=MatchParams(limit_l=max(n, 1)),
     )
+
+
+def adjacency(gc: ConflictGraph) -> list[set[int]]:
+    """Neighbor set of every vertex, straight from the edge list."""
+    adj = [set() for _ in range(gc.n)]
+    for u, v in gc.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def local_field(q: QuboInstance, x: Assignment, k: int) -> float:
+    """Energy gained by setting bit k (given the other bits); flipping bit k
+    changes the energy by +field if the bit turns on, -field if it turns off."""
+    bits = x.bits
+    f = q.terms.get((k, k), 0.0)
+    for (i, j), v in q.terms.items():
+        if i == j:
+            continue
+        if i == k and bits[j]:
+            f += v
+        elif j == k and bits[i]:
+            f += v
+    return f
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_mis, min_energy_masks, random_conflict_graph
+from oracles import adjacency, brute_force_mis, min_energy_masks, random_conflict_graph
 from qimatch.conflict import MatchParams, build_conflict_graph, generate_candidates
 from qimatch.detector import DetectorParams, RasterImage, detect
 from qimatch.graph_model import geom_relation, wrap_angle
@@ -68,7 +68,7 @@ def test_criterion_2_complete_solver_agreement(bench_instances):
         dt = time.perf_counter() - t0
         times.append(dt)
         assert proven and dt < 10.0
-        adj = gc.adjacency()
+        adj = adjacency(gc)
         assert all(v not in adj[u] for u in mis for v in mis)
     print(
         "\nPASS criterion 2: branch-and-bound agrees on 100 graphs; "

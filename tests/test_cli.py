@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qimatch.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from qimatch.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, _match_params, build_parser, main
+from qimatch.conflict import MatchParams
+from qimatch.detector import DetectorParams
 from qimatch.qubo import read_qubo
-from qimatch.pipeline import read_graph
+from qimatch.pipeline import SyntheticSpec, read_graph
+from qimatch.solvers import AnnealSchedule
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_blob_pgm(path, size=96, centers=((30, 30), (66, 60))):
@@ -99,3 +108,50 @@ def test_parse_error_exit_code(tmp_path):
     badg = tmp_path / "bad.json"
     badg.write_text("{broken")
     assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE
+
+    # every energy would be NaN, so the all-zero assignment would "win"
+    inf = tmp_path / "inf.qubo"
+    inf.write_text("p qubo 0 2 2 1\n0 0 -1\n1 1 -1\n0 1 inf\n")
+    assert main(["solve", str(inf), "--solver", "exact", "-o", str(out)]) == EXIT_PARSE
+
+
+def test_non_finite_graph_exit_code(tmp_path):
+    prefix = str(tmp_path / "pair")
+    main(["gen", "--inliers", "4", "--outliers", "1", "--seed", "3", "-o", prefix])
+    doc = json.loads(Path(f"{prefix}_1.json").read_text())
+    doc["points"][0]["x"] = float("nan")
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(doc))  # writes the bare token NaN
+    out = tmp_path / "r.json"
+    assert main(["match", str(nan), f"{prefix}_2.json", "-o", str(out)]) == EXIT_PARSE
+
+
+def test_parser_defaults_are_dataclass_defaults():
+    parse = build_parser().parse_args
+    d = DetectorParams()
+    args = parse(["detect", "img.pgm", "-o", "g.json"])
+    assert (args.scales, args.sigma0, args.scale_step, args.threshold, args.max_points,
+            args.bins) == (d.n_scales, d.sigma0, d.scale_step, d.response_threshold,
+                           d.max_points, d.descriptor_bins)
+    s = SyntheticSpec()
+    args = parse(["gen", "-o", "pair"])
+    assert (args.inliers, args.outliers, args.seed, args.rotation, args.scale,
+            (args.tx, args.ty), args.position_noise, args.descriptor_noise,
+            args.dim) == (s.n_inliers, s.n_outliers_per_image, s.seed, s.rotation,
+                          s.scale, s.translation, s.position_noise, s.descriptor_noise,
+                          s.descriptor_dim)
+    for command in ("match", "export-qubo", "export-dot"):
+        args = parse([command, "a.json", "b.json", "-o", "out"])
+        assert _match_params(args) == MatchParams()
+    assert parse(["match", "a.json", "b.json", "-o", "out"]).seed == AnnealSchedule().seed
+    assert parse(["solve", "inst.qubo", "-o", "out"]).seed == AnnealSchedule().seed
+
+
+def test_demo_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_end_to_end.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "similarity (MIS size):" in proc.stdout

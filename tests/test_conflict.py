@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import adjacency
 from qimatch.conflict import (
     ConflictGraph,
     MatchCandidate,
@@ -155,7 +156,7 @@ class TestBuildConflictGraph:
         p = MatchParams(t_feat=-0.5, t_geom=0.0, limit_l=20)
         cands = generate_candidates(g1, g2, p)
         gc = build_conflict_graph(g1, g2, cands, p)
-        adj = gc.adjacency()
+        adj = adjacency(gc)
         # greedy independent sets from several starting vertices
         for start in range(gc.n):
             chosen = []

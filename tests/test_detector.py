@@ -114,6 +114,17 @@ def test_points_inside_borders_and_capped():
         assert np.linalg.norm(p.descriptor) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_one_point_per_pixel():
+    # a narrow bright blob inside a wide dark one: LoG extrema at the same
+    # pixel on two scales two or more steps apart
+    yy, xx = np.mgrid[0:96, 0:96].astype(float)
+    r2 = (xx - 47) ** 2 + (yy - 45) ** 2
+    img = 0.5 + 0.3 * np.exp(-r2 / (2 * 3.0**2)) - 0.25 * np.exp(-r2 / (2 * 10.0**2))
+    pts = detect(RasterImage(96, 96, img))
+    assert [(p.x, p.y) for p in pts] == [(47.0, 45.0)]
+    assert pts[0].scale == pytest.approx(2.8)  # the stronger, finer extremum
+
+
 def test_small_image_rejected():
     with pytest.raises(ValueError):
         RasterImage(2, 2, np.zeros((2, 2)))

@@ -61,6 +61,20 @@ class TestInterestPoint:
         p = pt(0, 0, desc=d)
         assert p.descriptor.tolist() == d.tolist()
 
+    @given(
+        st.sampled_from(["x", "y", "scale", "orientation", "descriptor"]),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 2),
+    )
+    def test_non_finite_rejected(self, name, bad, k):
+        fields = dict(x=1.0, y=2.0, scale=1.5, orientation=0.3, descriptor=[0.6, 0.8, 0.0])
+        if name == "descriptor":
+            fields["descriptor"][k] = bad
+        else:
+            fields[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            InterestPoint(**fields)
+
 
 class TestImageGraph:
     def test_mixed_dims_rejected(self):

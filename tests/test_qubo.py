@@ -187,3 +187,8 @@ class TestFormat:
     def test_malformed_term(self):
         with pytest.raises(QuboFormatError, match="line 2"):
             read_qubo("p qubo 0 2 1 0\n0 0 xyz\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value(self, value):
+        with pytest.raises(QuboFormatError, match="line 4: non-finite"):
+            read_qubo(f"p qubo 0 2 2 1\n0 0 -1\n1 1 -1\n0 1 {value}\n")

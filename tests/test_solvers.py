@@ -1,13 +1,14 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
-from oracles import brute_force_mis, random_conflict_graph
+from oracles import adjacency, brute_force_mis, local_field, random_conflict_graph
 from qimatch.qubo import Assignment, QuboInstance, energy, mis_to_qubo
 from qimatch.rng import Xorshift64Star, derive_seed
 from qimatch.solvers import (
     AnnealSchedule,
-    local_field,
     solve_exact,
     solve_mis_bnb,
     solve_sa,
@@ -84,6 +85,16 @@ class TestSolveMisBnb:
     def test_empty_graph(self):
         assert solve_mis_bnb(make_gc(0, [])) == (set(), True)
 
+    def test_depth_not_bound_by_recursion_limit(self):
+        gc = make_gc(120, [])  # edgeless: the search goes 120 levels deep
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            mis, proven = solve_mis_bnb(gc)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert mis == set(range(120)) and proven
+
     def test_matches_brute_force_100(self):
         rng = Xorshift64Star(303)
         for _ in range(100):
@@ -91,7 +102,7 @@ class TestSolveMisBnb:
             mis, proven = solve_mis_bnb(gc)
             size, _ = brute_force_mis(gc.n, gc.edges)
             assert proven and len(mis) == size
-            adj = gc.adjacency()
+            adj = adjacency(gc)
             assert all(v not in adj[u] for u in mis for v in mis)
 
     def test_deterministic(self):
