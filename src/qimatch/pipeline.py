@@ -3,9 +3,10 @@ synthetic instance generation, graph/result file IO, and DOT export."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +97,8 @@ def decode_matches(
     if len(x) != gc.n:
         raise ValueError(f"assignment length {len(x)} does not match {gc.n} vertices")
     selected = [k for k, b in enumerate(x.bits) if b]
-    on = set(selected)
-    for u, v in gc.edges:
-        if u in on and v in on:
+    for u, v in itertools.combinations(selected, 2):
+        if (u, v) in gc.edges:
             cu, cv = gc.vertices[u], gc.vertices[v]
             raise InfeasibleSolutionError(
                 f"assignment selects both endpoints of conflict edge ({u}, {v}): "
@@ -286,25 +286,13 @@ def read_graph(path) -> ImageGraph:
 
 
 def match_result_to_json(r: MatchResult) -> str:
-    w = r.params.geom_weights
     obj = {
         "pairs": [[i, a] for i, a in r.pairs],
         "similarity": r.similarity,
         "solver": r.solver,
         "proven_optimal": r.proven_optimal,
         "feature_similarity_sum": r.feature_similarity_sum,
-        "params": {
-            "t_feat": r.params.t_feat,
-            "t_geom": r.params.t_geom,
-            "limit_l": r.params.limit_l,
-            "geom_weights": {
-                "w_dist": w.w_dist,
-                "w_bearing": w.w_bearing,
-                "w_scale": w.w_scale,
-                "w_orient": w.w_orient,
-                "r0": w.r0,
-            },
-        },
+        "params": asdict(r.params),
     }
     return json.dumps(obj, indent=2) + "\n"
 

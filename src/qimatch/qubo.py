@@ -31,6 +31,8 @@ class QuboInstance:
         for (i, j), v in self.terms.items():
             if not (0 <= i <= j < self.n):
                 raise ValueError(f"term ({i}, {j}) out of range for n={self.n}")
+            if not math.isfinite(v):
+                raise ValueError(f"term ({i}, {j}) has non-finite value {v!r}")
             if v != 0.0:
                 clean[(int(i), int(j))] = float(v)
         object.__setattr__(self, "terms", clean)

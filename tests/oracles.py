@@ -39,6 +39,24 @@ def adjacency(gc: ConflictGraph) -> list[set[int]]:
     return adj
 
 
+def first_fit_clique_count(p_mask: int, adj: list[int]) -> int:
+    """Cliques in the first-fit partition of the vertices in p_mask: in
+    ascending order, each vertex joins the first clique whose every member it
+    is adjacent to (adj[v] is v's neighbor bitmask), else opens a new one."""
+    cliques: list[int] = []
+    m = p_mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        for idx, c in enumerate(cliques):
+            if c & ~adj[v] == 0:
+                cliques[idx] = c | (1 << v)
+                break
+        else:
+            cliques.append(1 << v)
+    return len(cliques)
+
+
 def local_field(q: QuboInstance, x: Assignment, k: int) -> float:
     """Energy gained by setting bit k (given the other bits); flipping bit k
     changes the energy by +field if the bit turns on, -field if it turns off."""

@@ -60,9 +60,10 @@ def test_criterion_2_complete_solver_agreement(bench_instances):
         mis, proven = solve_mis_bnb(gc)
         assert proven and len(mis) == mis_size
     rng = Xorshift64Star(42)
+    graphs = [random_conflict_graph(rng, 60, 0.3) for _ in range(3)]
+    graphs.append(random_conflict_graph(rng, 1000, 0.0))  # the clique-cover bound's worst shape
     times = []
-    for _ in range(3):
-        gc = random_conflict_graph(rng, 60, 0.3)
+    for gc in graphs:
         t0 = time.perf_counter()
         mis, proven = solve_mis_bnb(gc)
         dt = time.perf_counter() - t0
@@ -72,7 +73,7 @@ def test_criterion_2_complete_solver_agreement(bench_instances):
         assert all(v not in adj[u] for u in mis for v in mis)
     print(
         "\nPASS criterion 2: branch-and-bound agrees on 100 graphs; "
-        f"60-vertex instances solved in {max(times):.2f}s worst case"
+        f"60-vertex instances and an edgeless 1000-vertex one solved in {max(times):.2f}s worst case"
     )
 
 

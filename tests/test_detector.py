@@ -158,17 +158,20 @@ class TestPgm:
         with pytest.raises(PgmFormatError):
             read_pgm(f)
 
+    # the 100000x100000 headers below are rejected before any allocation
     def test_truncated_binary(self, tmp_path):
         f = tmp_path / "e.pgm"
-        f.write_bytes(b"P5\n3 3\n255\n\x00\x01")
-        with pytest.raises(PgmFormatError):
-            read_pgm(f)
+        for header in (b"P5\n3 3\n255\n", b"P5\n100000 100000\n255\n"):
+            f.write_bytes(header + b"\x00\x01")
+            with pytest.raises(PgmFormatError):
+                read_pgm(f)
 
     def test_missing_pixels_ascii(self, tmp_path):
         f = tmp_path / "f.pgm"
-        f.write_text("P2\n3 3\n255\n0 1 2\n")
-        with pytest.raises(PgmFormatError):
-            read_pgm(f)
+        for header in ("P2\n3 3\n255\n", "P2\n100000 100000\n255\n"):
+            f.write_text(header + "0 1 2\n")
+            with pytest.raises(PgmFormatError):
+                read_pgm(f)
 
     def test_bad_maxval(self, tmp_path):
         f = tmp_path / "g.pgm"

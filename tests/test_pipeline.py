@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from oracles import brute_force_mis
 from qimatch.conflict import MatchCandidate, MatchParams, build_conflict_graph, generate_candidates
 from qimatch.errors import InfeasibleSolutionError
-from qimatch.graph_model import ImageGraph, InterestPoint
+from qimatch.graph_model import GeomWeights, ImageGraph, InterestPoint
 from qimatch.pipeline import (
     GraphFormatError,
     MatchResult,
@@ -50,6 +51,14 @@ class TestDecodeMatches:
         )
         with pytest.raises(InfeasibleSolutionError):
             decode_matches(gc, Assignment((1, 1)), solver="sa", proven_optimal=False)
+        # two conflict edges, (0, 2) on i = 0 and (1, 2) on alpha = 1: the first is named
+        gc = ConflictGraph(
+            vertices=(MatchCandidate(0, 0, 1.0), MatchCandidate(1, 1, 0.9), MatchCandidate(0, 1, 0.8)),
+            edges=frozenset({(0, 2), (1, 2)}),
+            params=MatchParams(),
+        )
+        with pytest.raises(InfeasibleSolutionError, match=r"edge \(0, 2\): matches \(0, 0\) and \(0, 1\)"):
+            decode_matches(gc, Assignment((1, 1, 1)), solver="sa", proven_optimal=False)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -228,3 +237,14 @@ class TestExports:
         assert obj["proven_optimal"] is True
         assert obj["params"]["t_feat"] == 0.8
         assert obj["params"]["geom_weights"]["r0"] == 1.0
+
+        w = GeomWeights(w_dist=0.5, w_bearing=0.0, w_scale=2.0, w_orient=1.5, r0=0.25)
+        p = MatchParams(t_feat=0.3, t_geom=-0.2, limit_l=7, geom_weights=w)
+        obj = json.loads(match_result_to_json(replace(r, params=p)))
+        expected = {
+            "t_feat": 0.3,
+            "t_geom": -0.2,
+            "limit_l": 7,
+            "geom_weights": {"w_dist": 0.5, "w_bearing": 0.0, "w_scale": 2.0, "w_orient": 1.5, "r0": 0.25},
+        }
+        assert json.dumps(obj["params"]) == json.dumps(expected)  # values and key order

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,19 @@ class TestQuboInstance:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             QuboInstance(n=2, terms={(0, 2): 1.0})
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(0, 0): math.inf},
+            {(0, 0): -math.inf},
+            {(0, 0): math.nan},
+            {(0, 0): -1.0, (1, 1): -1.0, (0, 1): math.inf},
+        ],
+    )
+    def test_non_finite_rejected(self, terms):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuboInstance(n=2, terms=terms)
 
 
 class TestFormat:

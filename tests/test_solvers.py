@@ -4,11 +4,18 @@ import sys
 
 import pytest
 
-from oracles import adjacency, brute_force_mis, local_field, random_conflict_graph
+from oracles import (
+    adjacency,
+    brute_force_mis,
+    first_fit_clique_count,
+    local_field,
+    random_conflict_graph,
+)
 from qimatch.qubo import Assignment, QuboInstance, energy, mis_to_qubo
 from qimatch.rng import Xorshift64Star, derive_seed
 from qimatch.solvers import (
     AnnealSchedule,
+    _clique_cover_bound,
     solve_exact,
     solve_mis_bnb,
     solve_sa,
@@ -109,6 +116,16 @@ class TestSolveMisBnb:
         rng = Xorshift64Star(9)
         gc = random_conflict_graph(rng, 15, 0.4)
         assert solve_mis_bnb(gc) == solve_mis_bnb(gc)
+
+    def test_clique_cover_bound_is_first_fit(self):
+        rng = Xorshift64Star(515)
+        for _ in range(300):
+            n = 1 + rng.randrange(40)
+            gc = random_conflict_graph(rng, n, rng.uniform())
+            adj = [sum(1 << v for v in nbrs) for nbrs in adjacency(gc)]
+            for _ in range(5):
+                p_mask = rng.next_u64() & ((1 << n) - 1)
+                assert _clique_cover_bound(p_mask, adj) == first_fit_clique_count(p_mask, adj)
 
 
 class TestLocalField:
