@@ -210,8 +210,11 @@ def main(argv=None) -> int:
     except InfeasibleSolutionError as exc:
         print(f"infeasible solution: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

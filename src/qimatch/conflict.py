@@ -85,10 +85,13 @@ def generate_candidates(
     f1 = np.array([pt.descriptor for pt in g1.points])
     f2 = np.array([pt.descriptor for pt in g2.points])
     sim = f1 @ f2.T
-    above = np.argwhere(sim > p.t_feat)
-    scored = [(float(sim[i, a]), int(i), int(a)) for i, a in above]
-    scored.sort(key=lambda c: (-c[0], c[1], c[2]))
-    return [MatchCandidate(i=i, alpha=a, d=d) for d, i, a in scored[: p.limit_l]]
+    rows, cols = np.nonzero(sim > p.t_feat)
+    scores = sim[rows, cols]
+    top = np.lexsort((cols, rows, -scores))[: p.limit_l]
+    return [
+        MatchCandidate(i=i, alpha=a, d=d)
+        for i, a, d in zip(rows[top].tolist(), cols[top].tolist(), scores[top].tolist())
+    ]
 
 
 def build_conflict_graph(

@@ -8,6 +8,7 @@ direction) and a rotated gradient-orientation histogram descriptor.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,8 +63,8 @@ class DetectorParams:
             raise ValueError("sigma0 must be > 0")
         if not self.scale_step > 1:
             raise ValueError("scale_step must be > 1")
-        if self.response_threshold < 0:
-            raise ValueError("response_threshold must be >= 0")
+        if not 0 <= self.response_threshold < math.inf:
+            raise ValueError("response_threshold must be finite and >= 0")
         if self.max_points < 1:
             raise ValueError("max_points must be >= 1")
         if self.descriptor_bins < 4:
@@ -102,25 +103,24 @@ def _orientation_histogram(
     x: int,
     y: int,
     sigma: float,
-    orientation: float,
     bins: int,
-) -> np.ndarray | None:
-    """Gradient-orientation histogram over a Gaussian-weighted disk of radius 3*sigma.
+) -> tuple[float, np.ndarray] | None:
+    """Gradient direction at the interior pixel (x, y), and the gradient-orientation
+    histogram over a Gaussian-weighted disk of radius 3*sigma around it.
 
-    The bin axis is rotated by the point's orientation, so descriptors of a
-    rotated pattern stay comparable.  Returns None when every gradient in the
-    window vanishes.
+    The bin axis is rotated by that direction, so descriptors of a rotated
+    pattern stay comparable.  Returns None when every gradient in the window
+    vanishes.
     """
     h, w = blurred.shape
     radius = math.ceil(3.0 * sigma)
     # gradients need x+-1, y+-1 in bounds
     y0, y1 = max(1, y - radius), min(h - 2, y + radius)
     x0, x1 = max(1, x - radius), min(w - 2, x + radius)
-    if y1 < y0 or x1 < x0:
-        return None
     win = blurred[y0 - 1 : y1 + 2, x0 - 1 : x1 + 2]
     gx = 0.5 * (win[1:-1, 2:] - win[1:-1, :-2])
     gy = 0.5 * (win[2:, 1:-1] - win[:-2, 1:-1])
+    orientation = wrap_angle(math.atan2(gy[y - y0, x - x0], gx[y - y0, x - x0]))
     yy, xx = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
     r2 = (xx - x) ** 2 + (yy - y) ** 2
     inside = r2 <= radius * radius
@@ -139,7 +139,7 @@ def _orientation_histogram(
     norm = float(np.linalg.norm(hist))
     if norm == 0.0:
         return None
-    return hist / norm
+    return orientation, hist / norm
 
 
 def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[InterestPoint]:
@@ -157,7 +157,7 @@ def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[Inter
     stack = np.stack([s * s * _laplacian(b) for s, b in zip(sigmas, blurred)])
 
     h, w = img.height, img.width
-    candidates = []
+    extrema = np.zeros(stack.shape, dtype=bool)
     for k in range(1, p.n_scales - 1):
         core = stack[k, 1:-1, 1:-1]
         gt = np.ones_like(core, dtype=bool)
@@ -170,25 +170,19 @@ def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[Inter
                     nb = stack[k - 1 + dk, dy : dy + h - 2, dx : dx + w - 2]
                     gt &= core > nb
                     lt &= core < nb
-        mask = (gt | lt) & (np.abs(core) > p.response_threshold)
-        ys, xs = np.nonzero(mask)
-        for y, x in zip(ys + 1, xs + 1):
-            candidates.append((float(abs(stack[k, y, x])), k, int(y), int(x)))
+        extrema[k, 1:-1, 1:-1] = (gt | lt) & (np.abs(core) > p.response_threshold)
 
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-    strongest = {}
-    for c in candidates:
-        strongest.setdefault(c[2:], c)
+    ks, ys, xs = np.nonzero(extrema)
+    order = np.lexsort((xs, ys, ks, -np.abs(stack[ks, ys, xs])))
+    _, first = np.unique((ys * w + xs)[order], return_index=True)
+    keep = order[np.sort(first)][: p.max_points]
 
     points = []
-    for _, k, y, x in list(strongest.values())[: p.max_points]:
-        b = blurred[k]
-        gx = 0.5 * (b[y, x + 1] - b[y, x - 1])
-        gy = 0.5 * (b[y + 1, x] - b[y - 1, x])
-        orientation = wrap_angle(math.atan2(gy, gx))
-        desc = _orientation_histogram(b, x, y, sigmas[k], orientation, p.descriptor_bins)
-        if desc is None:
+    for k, y, x in np.stack((ks, ys, xs), axis=1)[keep].tolist():
+        found = _orientation_histogram(blurred[k], x, y, sigmas[k], p.descriptor_bins)
+        if found is None:
             continue
+        orientation, desc = found
         points.append(
             InterestPoint(
                 x=float(x),
@@ -201,24 +195,13 @@ def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[Inter
     return points
 
 
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|([^ \t\r\n#]+)")
+
+
 def _pgm_tokens(data: bytes):
     """Yield (token, end_offset) for whitespace-separated header tokens,
     skipping '#' comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] not in b"\r\n":
-                i += 1
-        else:
-            j = i
-            while j < n and data[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            yield data[i:j], j
-            i = j
+    return ((m[1], m.end()) for m in _PGM_TOKEN.finditer(data) if m[1])
 
 
 def read_pgm(path) -> RasterImage:

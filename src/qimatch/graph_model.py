@@ -119,12 +119,12 @@ class GeomWeights:
 
     def __post_init__(self):
         ws = (self.w_dist, self.w_bearing, self.w_scale, self.w_orient)
-        if any(w < 0 for w in ws):
-            raise ValueError("geometric weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in ws):
+            raise ValueError("geometric weights must be finite and nonnegative")
         if not any(w > 0 for w in ws):
             raise ValueError("at least one geometric weight must be positive")
-        if not self.r0 > 0:
-            raise ValueError("r0 must be positive")
+        if not 0 < self.r0 < math.inf:
+            raise ValueError("r0 must be finite and positive")
 
 
 def geom_relation(a: InterestPoint, b: InterestPoint) -> GeomRelation:

@@ -255,7 +255,7 @@ def graph_from_json(text: str) -> ImageGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or "points" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
         raise GraphFormatError("graph document must be an object with a 'points' list")
     points = []
     for k, rec in enumerate(obj["points"]):

@@ -46,7 +46,7 @@ class AnnealSchedule:
             raise ValueError("sweeps must be >= 1")
         if not self.beta_initial > 0:
             raise ValueError("beta_initial must be > 0")
-        if self.beta_final < self.beta_initial:
+        if not self.beta_final >= self.beta_initial:
             raise ValueError("beta_final must be >= beta_initial")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")

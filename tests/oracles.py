@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from qimatch.conflict import ConflictGraph, MatchCandidate, MatchParams
+from qimatch.detector import DetectorParams, RasterImage, log_response
 from qimatch.qubo import Assignment, QuboInstance
 from qimatch.rng import Xorshift64Star
 
@@ -111,3 +112,58 @@ def min_energy_masks(n: int, terms) -> tuple[float, set[int]]:
     e = enumerate_energies(n, terms)
     emin = float(e.min())
     return emin, set(int(m) for m in np.nonzero(e == emin)[0])
+
+
+def pgm_tokens(data: bytes):
+    """Yield (token, end_offset) for the PGM header lexer, byte by byte:
+    tokens are runs of bytes other than space, tab, CR, LF and '#'; a '#'
+    starts a comment that runs up to the next CR or LF."""
+    i = 0
+    n = len(data)
+    while i < n:
+        c = data[i : i + 1]
+        if c in b" \t\r\n":
+            i += 1
+        elif c == b"#":
+            while i < n and data[i : i + 1] not in b"\r\n":
+                i += 1
+        else:
+            j = i
+            while j < n and data[j : j + 1] not in b" \t\r\n#":
+                j += 1
+            yield data[i:j], j
+            i = j
+
+
+def ranked_extrema(img: RasterImage, p: DetectorParams) -> list[tuple[int, int, int]]:
+    """(k, y, x) of the extrema detect describes, in its order: strict
+    extrema against all 26 neighbours of the log_response stack, off the
+    outermost pixel frame and scale layers, with |response| above the
+    threshold; sorted by (-|response|, k, y, x), the first at each pixel
+    kept, cut to max_points."""
+    stack = [log_response(img, s).tolist() for s in p.sigmas]
+    offsets = [
+        (dk, dy, dx)
+        for dk in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+        for dx in (-1, 0, 1)
+        if (dk, dy, dx) != (0, 0, 0)
+    ]
+    found = []
+    for k in range(1, len(stack) - 1):
+        for y in range(1, img.height - 1):
+            for x in range(1, img.width - 1):
+                r = stack[k][y][x]
+                nbs = [stack[k + dk][y + dy][x + dx] for dk, dy, dx in offsets]
+                if abs(r) > p.response_threshold and (
+                    all(r > v for v in nbs) or all(r < v for v in nbs)
+                ):
+                    found.append((-abs(r), k, y, x))
+    found.sort()
+    seen = set()
+    out = []
+    for _, k, y, x in found:
+        if (y, x) not in seen:
+            seen.add((y, x))
+            out.append((k, y, x))
+    return out[: p.max_points]

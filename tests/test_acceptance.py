@@ -21,7 +21,7 @@ from qimatch.pipeline import (
 )
 from qimatch.qubo import mis_to_qubo, read_qubo, write_qubo, QuboInstance
 from qimatch.rng import Xorshift64Star
-from qimatch.solvers import AnnealSchedule, solve_exact, solve_mis_bnb, solve_sa
+from qimatch.solvers import AnnealSchedule, solve_mis_bnb, solve_sa
 from qimatch.pipeline import graph_from_json, graph_to_json
 
 # decoded results accumulated by criteria 4 and 5, re-checked by criterion 6

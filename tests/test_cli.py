@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from qimatch.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, _match_params, build_parser, main
 from qimatch.conflict import MatchParams
@@ -106,13 +105,33 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["solve", str(bad), "-o", str(out)]) == EXIT_PARSE
 
     badg = tmp_path / "bad.json"
-    badg.write_text("{broken")
-    assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE
+    for doc in ("{broken", '{"points": null}'):
+        badg.write_text(doc)
+        assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE
 
     # every energy would be NaN, so the all-zero assignment would "win"
     inf = tmp_path / "inf.qubo"
     inf.write_text("p qubo 0 2 2 1\n0 0 -1\n1 1 -1\n0 1 inf\n")
     assert main(["solve", str(inf), "--solver", "exact", "-o", str(out)]) == EXIT_PARSE
+
+
+def test_detect_overflow_exit_code(tmp_path, capsys):
+    pgm = tmp_path / "blobs.pgm"
+    write_blob_pgm(pgm)
+    out = tmp_path / "g.json"
+    for flags in (["--sigma0", "inf"], ["--sigma0", "1e308"], ["--scale-step", "inf"], ["--scales", "3000"]):
+        assert main(["detect", str(pgm), "-o", str(out), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["detect", str(pgm), "-o", str(out), "--threshold", "nan"]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_solve_memory_exit_code(tmp_path, capsys):
+    huge = tmp_path / "huge.qubo"
+    huge.write_text(f"p qubo 0 {2**62} 0 0\n")  # refused by the list size check
+    out = tmp_path / "a.txt"
+    assert main(["solve", str(huge), "--solver", "sa", "-o", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_non_finite_graph_exit_code(tmp_path):

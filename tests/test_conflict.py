@@ -52,19 +52,23 @@ class TestGenerateCandidates:
 
         d1 = [rand_desc() for _ in range(5)]
         d2 = [rand_desc() for _ in range(5)]
-        g1 = graph([(k, 0) for k in range(5)], descs=d1)
-        g2 = graph([(k, 1) for k in range(5)], descs=d2)
-        p = MatchParams(t_feat=0.0, limit_l=3)
-        cands = generate_candidates(g1, g2, p)
-        # brute force over all 25 pairs
-        scored = []
-        for i, a in itertools.product(range(5), range(5)):
-            d = float(np.dot(g1.points[i].descriptor, g2.points[a].descriptor))
-            if d > 0.0:
-                scored.append((-d, i, a))
-        scored.sort()
-        expected = [(i, a) for _, i, a in scored[:3]]
-        assert [(c.i, c.alpha) for c in cands] == expected
+        # the second input duplicates descriptors, so similarities tie exactly
+        tied1 = d1[:3] + d1[1:3]
+        tied2 = d2[:2] + d2[:2] + d2[2:3]
+        for descs1, descs2 in ((d1, d2), (tied1, tied2)):
+            g1 = graph([(k, 0) for k in range(5)], descs=descs1)
+            g2 = graph([(k, 1) for k in range(5)], descs=descs2)
+            p = MatchParams(t_feat=0.0, limit_l=3)
+            cands = generate_candidates(g1, g2, p)
+            # brute force over all 25 pairs
+            scored = []
+            for i, a in itertools.product(range(5), range(5)):
+                d = float(np.dot(g1.points[i].descriptor, g2.points[a].descriptor))
+                if d > 0.0:
+                    scored.append((-d, i, a))
+            scored.sort()
+            expected = [(i, a) for _, i, a in scored[:3]]
+            assert [(c.i, c.alpha) for c in cands] == expected
 
     def test_dimension_mismatch(self):
         g1 = graph([(0, 0)], descs=[[1, 0]])

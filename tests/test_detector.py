@@ -1,12 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from oracles import pgm_tokens, ranked_extrema
 from qimatch.detector import (
     DetectorParams,
     PgmFormatError,
     RasterImage,
+    _pgm_tokens,
     detect,
     log_response,
     read_pgm,
@@ -125,6 +128,37 @@ def test_one_point_per_pixel():
     assert pts[0].scale == pytest.approx(2.8)  # the stronger, finer extremum
 
 
+@pytest.mark.parametrize("max_points", [8, 500])
+@pytest.mark.parametrize("seed", range(4))
+def test_ranking_matches_brute_force(seed, max_points):
+    # seeded noise over a narrow bright blob inside a wide dark one, so that
+    # the centre pixel is an extremum on two scales
+    yy, xx = np.mgrid[0:32, 0:32].astype(float)
+    r2 = (xx - 15) ** 2 + (yy - 16) ** 2
+    px = 0.5 + 0.3 * np.exp(-r2 / (2 * 1.5**2)) - 0.25 * np.exp(-r2 / (2 * 4.0**2))
+    px = np.clip(px + 0.05 * np.random.default_rng(seed).random((32, 32)), 0.0, 1.0)
+    img = RasterImage(32, 32, px)
+    p = DetectorParams(sigma0=0.8, scale_step=1.4, response_threshold=0.0, max_points=max_points)
+    expected = [(float(x), float(y), p.sigmas[k]) for k, y, x in ranked_extrema(img, p)]
+    assert [(q.x, q.y, q.scale) for q in detect(img, p)] == expected
+
+
+def test_params_validation():
+    for bad in (
+        dict(n_scales=2),
+        dict(sigma0=0.0),
+        dict(sigma0=math.nan),
+        dict(scale_step=1.0),
+        dict(response_threshold=-0.1),
+        dict(response_threshold=math.nan),
+        dict(response_threshold=math.inf),
+        dict(max_points=0),
+        dict(descriptor_bins=3),
+    ):
+        with pytest.raises(ValueError):
+            DetectorParams(**bad)
+
+
 def test_small_image_rejected():
     with pytest.raises(ValueError):
         RasterImage(2, 2, np.zeros((2, 2)))
@@ -133,11 +167,22 @@ def test_small_image_rejected():
 class TestPgm:
     def test_ascii_p2(self, tmp_path):
         f = tmp_path / "a.pgm"
-        f.write_text("P2\n# comment\n3 3\n255\n0 128 255 0 0 0 255 255 255\n")
-        img = read_pgm(f)
-        assert img.width == 3 and img.height == 3
-        assert img.pixels[0, 1] == pytest.approx(128 / 255)
-        assert img.pixels[0, 2] == 1.0
+        for text in (
+            b"P2\n# comment\n3 3\n255\n0 128 255 0 0 0 255 255 255\n",
+            b"P2\r\n3# glued comment\r\n3\r\n255\r\n0 128 255 0 0 0 255 255 255\r\n",
+        ):
+            f.write_bytes(text)
+            img = read_pgm(f)
+            assert img.width == 3 and img.height == 3
+            assert img.pixels[0, 1] == pytest.approx(128 / 255)
+            assert img.pixels[0, 2] == 1.0
+
+    def test_lexer_matches_reference(self):
+        rng = random.Random(5)
+        alphabet = [bytes([c]) for c in b" \t\r\n#\v\f07Px\x00\xff"]
+        for _ in range(3000):
+            data = b"".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            assert list(_pgm_tokens(data)) == list(pgm_tokens(data)), data
 
     def test_binary_p5(self, tmp_path):
         f = tmp_path / "b.pgm"

@@ -219,3 +219,10 @@ class TestGeomWeights:
     def test_bad_r0_rejected(self):
         with pytest.raises(ValueError):
             GeomWeights(r0=0.0)
+
+    # NaN or an infinite weight would make every candidate pair conflict
+    @pytest.mark.parametrize("field", ["w_dist", "w_bearing", "w_scale", "w_orient", "r0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            GeomWeights(**{field: value})

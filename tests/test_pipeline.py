@@ -1,10 +1,8 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_mis
 from qimatch.conflict import MatchCandidate, MatchParams, build_conflict_graph, generate_candidates
 from qimatch.errors import InfeasibleSolutionError
 from qimatch.graph_model import GeomWeights, ImageGraph, InterestPoint
@@ -198,8 +196,9 @@ class TestGraphIO:
             graph_from_json("{not json")
 
     def test_missing_points(self):
-        with pytest.raises(GraphFormatError):
-            graph_from_json('{"id": "x"}')
+        for doc in ('{"id": "x"}', '{"points": null}', '{"points": 5}'):
+            with pytest.raises(GraphFormatError):
+                graph_from_json(doc)
 
     def test_bad_point_record(self):
         with pytest.raises(GraphFormatError, match="#0"):
