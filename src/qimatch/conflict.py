@@ -40,32 +40,39 @@ class MatchParams:
             raise ValueError("limit_l must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConflictGraph:
     """Candidate matches plus conflict edges; independent sets are valid matchings."""
 
     vertices: tuple[MatchCandidate, ...]
-    edges: frozenset[tuple[int, int]]  # pairs (u, v) with u < v
+    adjacency: np.ndarray  # symmetric n x n bool, false diagonal; kept as a read-only copy
     params: MatchParams
 
     def __post_init__(self):
         n = len(self.vertices)
         if n > self.params.limit_l:
             raise ValueError(f"{n} vertices exceed the cap {self.params.limit_l}")
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
+        adj = np.array(self.adjacency, dtype=bool)
+        if adj.shape != (n, n) or not np.array_equal(adj, adj.T) or adj.diagonal().any():
+            raise ValueError(f"adjacency must be symmetric {n}x{n} with a false diagonal")
         # matches sharing an endpoint must always conflict
-        for u in range(n):
-            cu = self.vertices[u]
-            for v in range(u + 1, n):
-                cv = self.vertices[v]
-                if (cu.i == cv.i or cu.alpha == cv.alpha) and (u, v) not in self.edges:
-                    raise ValueError(f"missing shared-endpoint edge ({u}, {v})")
+        i = np.array([c.i for c in self.vertices])
+        a = np.array([c.alpha for c in self.vertices])
+        missing = np.argwhere(np.triu((i[:, None] == i) | (a[:, None] == a), 1) & ~adj)
+        if missing.size:
+            raise ValueError(f"missing shared-endpoint edge {tuple(missing[0].tolist())}")
+        adj.setflags(write=False)
+        object.__setattr__(self, "adjacency", adj)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Conflict edges as pairs (u, v) with u < v."""
+        u, v = np.nonzero(np.triu(self.adjacency, 1))
+        return frozenset(zip(u.tolist(), v.tolist()))
 
 
 def generate_candidates(
@@ -125,13 +132,13 @@ def build_conflict_graph(
         return r
 
     n = len(candidates)
-    edges = set()
+    adj = np.zeros((n, n), dtype=bool)  # upper triangle, mirrored at the end
     for u in range(n):
         cu = candidates[u]
         for v in range(u + 1, n):
             cv = candidates[v]
             if cu.i == cv.i or cu.alpha == cv.alpha:
-                edges.add((u, v))
+                adj[u, v] = True
                 continue
             if cu.i < cv.i:
                 i, j, a, b = cu.i, cv.i, cu.alpha, cv.alpha
@@ -140,5 +147,5 @@ def build_conflict_graph(
             r1 = rel(g1, rel_cache_1, i, j, "first image")
             r2 = rel(g2, rel_cache_2, a, b, "second image")
             if d_geom(r1, r2, p.geom_weights) < p.t_geom:
-                edges.add((u, v))
-    return ConflictGraph(vertices=tuple(candidates), edges=frozenset(edges), params=p)
+                adj[u, v] = True
+    return ConflictGraph(vertices=tuple(candidates), adjacency=adj | adj.T, params=p)

@@ -63,6 +63,12 @@ class DetectorParams:
             raise ValueError("sigma0 must be > 0")
         if not self.scale_step > 1:
             raise ValueError("scale_step must be > 1")
+        try:
+            radius = 3.0 * self.sigma0 * self.scale_step ** (self.n_scales - 1)
+        except OverflowError:
+            radius = math.inf
+        if not radius < math.inf:
+            raise ValueError("3 * sigma0 * scale_step**(n_scales - 1) must be finite")
         if not 0 <= self.response_threshold < math.inf:
             raise ValueError("response_threshold must be finite and >= 0")
         if self.max_points < 1:
@@ -85,17 +91,17 @@ def _gaussian_blur(pixels: np.ndarray, sigma: float) -> np.ndarray:
     return ndimage.correlate1d(out, kernel, axis=1, mode="nearest")
 
 
-def _laplacian(a: np.ndarray) -> np.ndarray:
-    """5-point stencil with edge-clamped borders."""
+def _laplacian(a: np.ndarray, sigma: float) -> np.ndarray:
+    """sigma^2 times the 5-point stencil, with edge-clamped borders."""
     p = np.pad(a, 1, mode="edge")
-    return p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * a
+    return sigma * sigma * (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * a)
 
 
 def log_response(img: RasterImage, sigma: float) -> np.ndarray:
     """Scale-normalized LoG response sigma^2 * Lap(G_sigma * img)."""
     if not sigma > 0:
         raise ValueError("sigma must be > 0")
-    return sigma * sigma * _laplacian(_gaussian_blur(img.pixels, sigma))
+    return _laplacian(_gaussian_blur(img.pixels, sigma), sigma)
 
 
 def _orientation_histogram(
@@ -154,7 +160,7 @@ def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[Inter
     """
     sigmas = p.sigmas
     blurred = [_gaussian_blur(img.pixels, s) for s in sigmas]
-    stack = np.stack([s * s * _laplacian(b) for s, b in zip(sigmas, blurred)])
+    stack = np.stack([_laplacian(b, s) for s, b in zip(sigmas, blurred)])
 
     h, w = img.height, img.width
     extrema = np.zeros(stack.shape, dtype=bool)

@@ -138,9 +138,9 @@ def geom_relation(a: InterestPoint, b: InterestPoint) -> GeomRelation:
         )
     return GeomRelation(
         log_dist=math.log(dist / a.scale),
-        bearing=wrap_angle(math.atan2(dy, dx) - a.orientation),
+        bearing=math.atan2(dy, dx) - a.orientation,
         log_scale_ratio=math.log(b.scale / a.scale),
-        d_orient=wrap_angle(b.orientation - a.orientation),
+        d_orient=b.orientation - a.orientation,
     )
 
 

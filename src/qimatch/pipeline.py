@@ -98,7 +98,7 @@ def decode_matches(
         raise ValueError(f"assignment length {len(x)} does not match {gc.n} vertices")
     selected = [k for k, b in enumerate(x.bits) if b]
     for u, v in itertools.combinations(selected, 2):
-        if (u, v) in gc.edges:
+        if gc.adjacency[u, v]:
             cu, cv = gc.vertices[u], gc.vertices[v]
             raise InfeasibleSolutionError(
                 f"assignment selects both endpoints of conflict edge ({u}, {v}): "

@@ -132,10 +132,8 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
     n = gc.n
     if n == 0:
         return set(), True
-    adj = [0] * n
-    for u, v in gc.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    rows = np.packbits(gc.adjacency, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     best_mask = 0
     best_size = 0

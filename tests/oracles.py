@@ -15,6 +15,20 @@ from qimatch.qubo import Assignment, QuboInstance
 from qimatch.rng import Xorshift64Star
 
 
+def graph_from_edges(vertices, edges, params: MatchParams) -> ConflictGraph:
+    """ConflictGraph over vertices whose conflict edges are the pairs in edges."""
+    adj = np.zeros((len(vertices), len(vertices)), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return ConflictGraph(vertices=tuple(vertices), adjacency=adj, params=params)
+
+
+def make_gc(n: int, edges) -> ConflictGraph:
+    """n vertices pairing distinct points, so any edge list is allowed."""
+    vertices = tuple(MatchCandidate(i=k, alpha=k, d=1.0) for k in range(n))
+    return graph_from_edges(vertices, edges, MatchParams(limit_l=max(n, 1)))
+
+
 def random_conflict_graph(rng: Xorshift64Star, n: int, density: float) -> ConflictGraph:
     """Random graph wrapped as a ConflictGraph; every vertex pairs distinct
     points so no shared-endpoint edge is forced."""
@@ -23,12 +37,7 @@ def random_conflict_graph(rng: Xorshift64Star, n: int, density: float) -> Confli
         for v in range(u + 1, n):
             if rng.uniform() < density:
                 edges.add((u, v))
-    vertices = tuple(MatchCandidate(i=k, alpha=k, d=1.0) for k in range(n))
-    return ConflictGraph(
-        vertices=vertices,
-        edges=frozenset(edges),
-        params=MatchParams(limit_l=max(n, 1)),
-    )
+    return make_gc(n, edges)
 
 
 def adjacency(gc: ConflictGraph) -> list[set[int]]:

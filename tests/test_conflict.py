@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adjacency
+from oracles import adjacency, graph_from_edges
 from qimatch.conflict import (
     ConflictGraph,
     MatchCandidate,
@@ -177,17 +177,38 @@ class TestConflictGraphInvariants:
     def test_missing_shared_endpoint_edge_rejected(self):
         cands = (MatchCandidate(0, 0, 1.0), MatchCandidate(0, 1, 1.0))
         with pytest.raises(ValueError):
-            ConflictGraph(vertices=cands, edges=frozenset(), params=MatchParams())
+            graph_from_edges(cands, [], MatchParams())
+        # (0, 2) shares i, (1, 2) shares alpha; the first missing pair is named
+        cands = (MatchCandidate(0, 0, 1.0), MatchCandidate(1, 1, 1.0), MatchCandidate(0, 1, 1.0))
+        with pytest.raises(ValueError, match=r"\(0, 2\)"):
+            graph_from_edges(cands, [], MatchParams())
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            graph_from_edges(cands, [(0, 2)], MatchParams())
 
     def test_bad_edge_rejected(self):
-        cands = (MatchCandidate(0, 0, 1.0),)
+        cands = (MatchCandidate(0, 0, 1.0), MatchCandidate(1, 1, 1.0))
+        wrong_shapes = (np.zeros((1, 1), dtype=bool), np.zeros((2, 3), dtype=bool))
+        asymmetric = np.array([[False, True], [False, False]])
+        for adj in (*wrong_shapes, asymmetric, np.eye(2, dtype=bool)):
+            with pytest.raises(ValueError):
+                ConflictGraph(vertices=cands, adjacency=adj, params=MatchParams())
+
+    def test_adjacency_is_a_read_only_copy(self):
+        cands = tuple(MatchCandidate(k, k, 1.0) for k in range(3))
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 2] = adj[2, 0] = True
+        gc = ConflictGraph(vertices=cands, adjacency=adj, params=MatchParams())
         with pytest.raises(ValueError):
-            ConflictGraph(vertices=cands, edges=frozenset({(0, 1)}), params=MatchParams())
+            gc.adjacency[0, 1] = True
+        adj[0, 1] = adj[1, 0] = True
+        assert gc.edges == frozenset({(0, 2)})
+        assert not gc.adjacency[0, 1]
+        assert all(type(k) is int for e in gc.edges for k in e)
 
     def test_cap_enforced(self):
         cands = tuple(MatchCandidate(k, k, 1.0) for k in range(3))
         with pytest.raises(ValueError):
-            ConflictGraph(vertices=cands, edges=frozenset(), params=MatchParams(limit_l=2))
+            graph_from_edges(cands, [], MatchParams(limit_l=2))
 
 
 class TestMatchParams:

@@ -149,6 +149,10 @@ def test_params_validation():
         dict(sigma0=0.0),
         dict(sigma0=math.nan),
         dict(scale_step=1.0),
+        dict(sigma0=math.inf),
+        dict(sigma0=1e308),
+        dict(scale_step=math.inf),
+        dict(n_scales=3000),
         dict(response_threshold=-0.1),
         dict(response_threshold=math.nan),
         dict(response_threshold=math.inf),

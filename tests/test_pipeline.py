@@ -3,7 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qimatch.conflict import MatchCandidate, MatchParams, build_conflict_graph, generate_candidates
+from oracles import graph_from_edges, make_gc
+from qimatch.conflict import (
+    ConflictGraph,
+    MatchCandidate,
+    MatchParams,
+    build_conflict_graph,
+    generate_candidates,
+)
 from qimatch.errors import InfeasibleSolutionError
 from qimatch.graph_model import GeomWeights, ImageGraph, InterestPoint
 from qimatch.pipeline import (
@@ -22,7 +29,6 @@ from qimatch.pipeline import (
 from qimatch.qubo import Assignment, mis_to_qubo
 from qimatch.rng import Xorshift64Star
 from qimatch.solvers import solve_exact
-from test_qubo import make_gc
 
 
 class TestDecodeMatches:
@@ -40,20 +46,16 @@ class TestDecodeMatches:
 
     def test_infeasible_selection(self):
         # two candidates share i = 0: a forced conflict edge
-        from qimatch.conflict import ConflictGraph
-
-        gc = ConflictGraph(
-            vertices=(MatchCandidate(0, 0, 1.0), MatchCandidate(0, 1, 0.9)),
-            edges=frozenset({(0, 1)}),
-            params=MatchParams(),
+        gc = graph_from_edges(
+            (MatchCandidate(0, 0, 1.0), MatchCandidate(0, 1, 0.9)), [(0, 1)], MatchParams()
         )
         with pytest.raises(InfeasibleSolutionError):
             decode_matches(gc, Assignment((1, 1)), solver="sa", proven_optimal=False)
         # two conflict edges, (0, 2) on i = 0 and (1, 2) on alpha = 1: the first is named
-        gc = ConflictGraph(
-            vertices=(MatchCandidate(0, 0, 1.0), MatchCandidate(1, 1, 0.9), MatchCandidate(0, 1, 0.8)),
-            edges=frozenset({(0, 2), (1, 2)}),
-            params=MatchParams(),
+        gc = graph_from_edges(
+            (MatchCandidate(0, 0, 1.0), MatchCandidate(1, 1, 0.9), MatchCandidate(0, 1, 0.8)),
+            [(0, 2), (1, 2)],
+            MatchParams(),
         )
         with pytest.raises(InfeasibleSolutionError, match=r"edge \(0, 2\): matches \(0, 0\) and \(0, 1\)"):
             decode_matches(gc, Assignment((1, 1, 1)), solver="sa", proven_optimal=False)
@@ -173,6 +175,20 @@ class TestMatchImages:
             r_exact = match_images(g1, g2, p, solver="exact")
             assert r_bnb.similarity == r_exact.similarity
             assert r_bnb.proven_optimal and r_exact.proven_optimal
+
+    def test_bnb_path_never_reads_edges(self, monkeypatch):
+        g1, g2, _ = generate_synthetic(
+            SyntheticSpec(n_inliers=8, n_outliers_per_image=4, position_noise=2.0, seed=5)
+        )
+        p = MatchParams(t_feat=0.3, t_geom=0.0)
+        expected = match_images(g1, g2, p, solver="bnb")
+        assert build_conflict_graph(g1, g2, generate_candidates(g1, g2, p), p).edges
+
+        def no_edges(gc):
+            raise AssertionError("ConflictGraph.edges read on the bnb path")
+
+        monkeypatch.setattr(ConflictGraph, "edges", property(no_edges))
+        assert match_images(g1, g2, p, solver="bnb") == expected
 
     def test_unknown_solver(self):
         g = ImageGraph(points=(), id="e")

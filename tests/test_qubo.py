@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_mis, min_energy_masks, random_conflict_graph
-from qimatch.conflict import ConflictGraph, MatchCandidate, MatchParams
+from oracles import brute_force_mis, make_gc, min_energy_masks, random_conflict_graph
 from qimatch.qubo import (
     Assignment,
     QuboFormatError,
@@ -17,14 +16,6 @@ from qimatch.qubo import (
     write_qubo,
 )
 from qimatch.rng import Xorshift64Star
-
-
-def make_gc(n, edges):
-    return ConflictGraph(
-        vertices=tuple(MatchCandidate(k, k, 1.0) for k in range(n)),
-        edges=frozenset(edges),
-        params=MatchParams(limit_l=max(n, 1)),
-    )
 
 
 class TestMisToQubo:

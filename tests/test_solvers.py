@@ -9,6 +9,7 @@ from oracles import (
     brute_force_mis,
     first_fit_clique_count,
     local_field,
+    make_gc,
     random_conflict_graph,
 )
 from qimatch.qubo import Assignment, QuboInstance, energy, mis_to_qubo
@@ -20,7 +21,6 @@ from qimatch.solvers import (
     solve_mis_bnb,
     solve_sa,
 )
-from test_qubo import make_gc
 
 
 class TestRng:
