@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .graph_model import GeomWeights, ImageGraph, d_geom, geom_relation
+from .graph_model import GeomWeights, ImageGraph, wrap_angles
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,23 @@ def generate_candidates(
     ]
 
 
+def _pose_tables(g: ImageGraph, idx: np.ndarray) -> list[np.ndarray]:
+    """Relative pose of every ordered pair (a, b) of the m points idx of g,
+    anchored at a, as tables flattened at a * m + b: the distance in units of
+    a's scale, then geom_relation's log distance, bearing, log scale ratio
+    and orientation difference."""
+    pts = [g.points[k] for k in idx.tolist()]
+    x, y, s, o = np.array([(q.x, q.y, q.scale, q.orientation) for q in pts]).reshape(-1, 4).T
+    dx, dy = x - x[:, None], y - y[:, None]
+    dist = np.hypot(dx, dy) / s[:, None]
+    # a zero distance (the diagonal too) has no log; a rule-2 pair on one raises
+    log_dist = np.log(dist, out=np.zeros_like(dist), where=dist > 0)
+    bearing = wrap_angles(np.arctan2(dy, dx) - o[:, None])
+    rel = (dist, log_dist, bearing, np.log(s / s[:, None]), wrap_angles(o - o[:, None]))
+    return [r.ravel() for r in rel]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # huge coordinates: silent, as in scalar maths
 def build_conflict_graph(
     g1: ImageGraph,
     g2: ImageGraph,
@@ -114,38 +131,36 @@ def build_conflict_graph(
     point pairs falls strictly below t_geom.  Pairs are oriented by the
     first-graph index so the anchored relative-pose form is well defined.
     """
-    rel_cache_1: dict[tuple[int, int], object] = {}
-    rel_cache_2: dict[tuple[int, int], object] = {}
-
-    def rel(g, cache, a, b, which):
-        key = (a, b)
-        r = cache.get(key)
-        if r is None:
-            try:
-                r = geom_relation(g.points[a], g.points[b])
-            except DegenerateGeometryError as exc:
-                raise DegenerateGeometryError(
-                    f"coincident points {a} and {b} in {which} "
-                    f"(graph '{g.id}') referenced by candidates"
-                ) from exc
-            cache[key] = r
-        return r
-
-    n = len(candidates)
-    adj = np.zeros((n, n), dtype=bool)  # upper triangle, mirrored at the end
-    for u in range(n):
-        cu = candidates[u]
-        for v in range(u + 1, n):
-            cv = candidates[v]
-            if cu.i == cv.i or cu.alpha == cv.alpha:
-                adj[u, v] = True
-                continue
-            if cu.i < cv.i:
-                i, j, a, b = cu.i, cv.i, cu.alpha, cv.alpha
-            else:
-                i, j, a, b = cv.i, cu.i, cv.alpha, cu.alpha
-            r1 = rel(g1, rel_cache_1, i, j, "first image")
-            r2 = rel(g2, rel_cache_2, a, b, "second image")
-            if d_geom(r1, r2, p.geom_weights) < p.t_geom:
-                adj[u, v] = True
+    ci, ca = np.array([(c.i, c.alpha) for c in candidates], dtype=np.intp).reshape(-1, 2).T
+    adj = (ci[:, None] == ci) | (ca[:, None] == ca)
+    np.fill_diagonal(adj, False)
+    s, t = np.nonzero(np.triu(~adj, 1))  # rule-2 pairs, in (u, v) loop order
+    swap = ci[s] > ci[t]
+    s[swap], t[swap] = t[swap], s[swap]  # anchor s has the smaller first-graph index
+    sides = ((g1, ci, "first image"), (g2, ca, "second image"))
+    tables, flat = [], []  # per image: pose tables, and each pair's entry in them
+    for g, idx, _ in sides:
+        pts, inv = np.unique(idx, return_inverse=True)
+        tables.append(_pose_tables(g, pts))
+        flat.append(inv[s] * len(pts) + inv[t])
+    coincident = [tab[0][f] == 0 for tab, f in zip(tables, flat)]
+    bad = np.flatnonzero(coincident[0] | coincident[1])
+    if bad.size:  # the first pair in loop order; there the first image wins
+        k = bad[0]
+        g, idx, which = sides[0] if coincident[0][k] else sides[1]
+        raise DegenerateGeometryError(
+            f"coincident points {idx[s[k]]} and {idx[t[k]]} in {which} "
+            f"(graph '{g.id}') referenced by candidates"
+        )
+    # d_geom's residual, term by term in its order
+    w = p.geom_weights
+    r2 = np.zeros(len(s))
+    for k, wk in enumerate((w.w_dist, w.w_bearing, w.w_scale, w.w_orient), start=1):
+        d = tables[0][k][flat[0]] - tables[1][k][flat[1]]
+        if k in (2, 4):  # bearing and orientation differences are angles
+            d = wrap_angles(d)
+        r2 += wk * d * d
+    d = 1.0 - 2.0 * np.sqrt(r2) / w.r0
+    hit = np.where(d > -1.0, d, -1.0) < p.t_geom  # max(-1, d) < t_geom, as d_geom clamps
+    adj[s[hit], t[hit]] = True
     return ConflictGraph(vertices=tuple(candidates), adjacency=adj | adj.T, params=p)

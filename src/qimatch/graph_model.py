@@ -32,6 +32,16 @@ def wrap_angle(theta: float) -> float:
     return w
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle applied elementwise: in-range values pass through, the rest
+    take the same modulo and fix-up."""
+    w = theta.flatten()
+    out = np.flatnonzero((w < -math.pi) | (w >= math.pi))
+    v = (w[out] + math.pi) % TWO_PI - math.pi
+    w[out] = np.where(v >= math.pi, v - TWO_PI, v)
+    return w.reshape(theta.shape)
+
+
 @dataclass(frozen=True)
 class InterestPoint:
     """One salient image location: position, scale, orientation, descriptor."""

@@ -3,7 +3,6 @@ synthetic instance generation, graph/result file IO, and DOT export."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -97,13 +96,16 @@ def decode_matches(
     if len(x) != gc.n:
         raise ValueError(f"assignment length {len(x)} does not match {gc.n} vertices")
     selected = [k for k, b in enumerate(x.bits) if b]
-    for u, v in itertools.combinations(selected, 2):
-        if gc.adjacency[u, v]:
-            cu, cv = gc.vertices[u], gc.vertices[v]
-            raise InfeasibleSolutionError(
-                f"assignment selects both endpoints of conflict edge ({u}, {v}): "
-                f"matches ({cu.i}, {cu.alpha}) and ({cv.i}, {cv.alpha})"
-            )
+    # row-major over ascending selected, the first hit is the lexicographically
+    # first conflicting pair
+    clash = np.argwhere(np.triu(gc.adjacency[np.ix_(selected, selected)], 1))
+    if clash.size:
+        u, v = (selected[k] for k in clash[0])
+        cu, cv = gc.vertices[u], gc.vertices[v]
+        raise InfeasibleSolutionError(
+            f"assignment selects both endpoints of conflict edge ({u}, {v}): "
+            f"matches ({cu.i}, {cu.alpha}) and ({cv.i}, {cv.alpha})"
+        )
     pairs = tuple((gc.vertices[k].i, gc.vertices[k].alpha) for k in selected)
     return MatchResult(
         pairs=pairs,

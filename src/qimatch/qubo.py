@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .conflict import ConflictGraph
 from .errors import ParseError
 
@@ -66,8 +68,8 @@ def mis_to_qubo(gc: ConflictGraph) -> QuboInstance:
         raise ValueError("empty conflict graph has no variables to optimize")
     penalty = float(n)
     terms: dict[tuple[int, int], float] = {(k, k): -1.0 for k in range(n)}
-    for u, v in gc.edges:
-        terms[(u, v)] = penalty
+    u, v = np.nonzero(np.triu(gc.adjacency, 1))
+    terms.update(dict.fromkeys(zip(u.tolist(), v.tolist()), penalty))
     return QuboInstance(n=n, terms=terms)
 
 

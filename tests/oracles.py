@@ -11,6 +11,8 @@ import numpy as np
 
 from qimatch.conflict import ConflictGraph, MatchCandidate, MatchParams
 from qimatch.detector import DetectorParams, RasterImage, log_response
+from qimatch.errors import DegenerateGeometryError
+from qimatch.graph_model import ImageGraph, d_geom, geom_relation
 from qimatch.qubo import Assignment, QuboInstance
 from qimatch.rng import Xorshift64Star
 
@@ -38,6 +40,49 @@ def random_conflict_graph(rng: Xorshift64Star, n: int, density: float) -> Confli
             if rng.uniform() < density:
                 edges.add((u, v))
     return make_gc(n, edges)
+
+
+def conflict_adjacency(
+    g1: ImageGraph, g2: ImageGraph, candidates: list[MatchCandidate], p: MatchParams
+) -> np.ndarray:
+    """Conflict edges of build_conflict_graph, one candidate pair at a time
+    with the scalar geom_relation and d_geom: rule 1 for a shared point,
+    else rule 2 on the pair oriented by first-graph index."""
+    rel_cache_1: dict[tuple[int, int], object] = {}
+    rel_cache_2: dict[tuple[int, int], object] = {}
+
+    def rel(g, cache, a, b, which):
+        key = (a, b)
+        r = cache.get(key)
+        if r is None:
+            try:
+                r = geom_relation(g.points[a], g.points[b])
+            except DegenerateGeometryError as exc:
+                raise DegenerateGeometryError(
+                    f"coincident points {a} and {b} in {which} "
+                    f"(graph '{g.id}') referenced by candidates"
+                ) from exc
+            cache[key] = r
+        return r
+
+    n = len(candidates)
+    adj = np.zeros((n, n), dtype=bool)  # upper triangle, mirrored at the end
+    for u in range(n):
+        cu = candidates[u]
+        for v in range(u + 1, n):
+            cv = candidates[v]
+            if cu.i == cv.i or cu.alpha == cv.alpha:
+                adj[u, v] = True
+                continue
+            if cu.i < cv.i:
+                i, j, a, b = cu.i, cv.i, cu.alpha, cv.alpha
+            else:
+                i, j, a, b = cv.i, cu.i, cv.alpha, cu.alpha
+            r1 = rel(g1, rel_cache_1, i, j, "first image")
+            r2 = rel(g2, rel_cache_2, a, b, "second image")
+            if d_geom(r1, r2, p.geom_weights) < p.t_geom:
+                adj[u, v] = True
+    return adj | adj.T
 
 
 def adjacency(gc: ConflictGraph) -> list[set[int]]:

@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import adjacency, graph_from_edges
+from oracles import adjacency, conflict_adjacency, graph_from_edges
 from qimatch.conflict import (
     ConflictGraph,
     MatchCandidate,
@@ -122,6 +124,77 @@ class TestBuildConflictGraph:
         cands = [MatchCandidate(0, 0, 1.0), MatchCandidate(1, 1, 1.0)]
         with pytest.raises(DegenerateGeometryError, match="0 and 1"):
             build_conflict_graph(g1, g2, cands, MatchParams(t_feat=0.0))
+
+    def test_coincident_points_first_in_loop_order(self):
+        # (c0, c1) meets coincident points in the second image before (c1, c2)
+        # meets them in the first; at (c0, c1) of the second input both images
+        # have them and the first image is named
+        inputs = (
+            ([(0, 0), (5, 5), (5, 5)], [(3, 3), (3, 3), (9, 1)], "1 and 0 in second image"),
+            ([(0, 0), (0, 0), (5, 5)], [(3, 3), (3, 3), (9, 1)], "0 and 1 in first image"),
+        )
+        cands = [MatchCandidate(0, 1, 1.0), MatchCandidate(1, 0, 1.0), MatchCandidate(2, 2, 1.0)]
+        p = MatchParams(t_feat=0.0)
+        for pts1, pts2, named in inputs:
+            g1, g2 = graph(pts1), graph(pts2)
+            with pytest.raises(DegenerateGeometryError) as exc:
+                build_conflict_graph(g1, g2, cands, p)
+            assert str(exc.value) == f"coincident points {named} (graph 't') referenced by candidates"
+            with pytest.raises(DegenerateGeometryError, match=re.escape(str(exc.value))):
+                conflict_adjacency(g1, g2, cands, p)
+        # a distance that rounds to 0 in units of the anchor's scale is coincident
+        # too (geom_relation's math.log fails there with a bare "math domain error")
+        d = np.array([1.0, 0.0])
+        g1 = ImageGraph(points=(InterestPoint(0.0, 0.0, 2.0, 0.0, d), InterestPoint(5e-324, 0.0, 1.0, 0.0, d)))
+        g2 = graph([(0, 0), (3, 0)])
+        with pytest.raises(DegenerateGeometryError, match="0 and 1 in first image"):
+            build_conflict_graph(g1, g2, [MatchCandidate(0, 0, 1.0), MatchCandidate(1, 1, 1.0)], p)
+
+    def test_coincident_points_of_rule1_pairs_allowed(self):
+        g1 = graph([(0, 0), (0, 0), (7, 2)])
+        g2 = graph([(3, 3), (4, 9), (4, 9)])
+        # only (c0, c1) and (c2, c3) see coincident points, and each shares a point
+        cands = [MatchCandidate(0, 0, 1.0), MatchCandidate(1, 0, 1.0), MatchCandidate(2, 1, 1.0), MatchCandidate(2, 2, 1.0)]
+        p = MatchParams(t_feat=0.0, t_geom=0.5)
+        gc = build_conflict_graph(g1, g2, cands, p)
+        assert np.array_equal(gc.adjacency, conflict_adjacency(g1, g2, cands, p))
+
+    def test_same_edges_as_scalar_oracle(self):
+        near_pi = (math.pi - 1e-10, -math.pi, -math.pi + 1e-12, math.nextafter(math.pi, 0.0))
+        pairs = []
+        for seed, (noise, rotation) in enumerate(
+            itertools.product((0.0, 1.0, 8.0), (math.pi - 1e-10, -math.pi + 1e-9, 0.5))
+        ):
+            spec = SyntheticSpec(
+                n_inliers=10, n_outliers_per_image=6, rotation=rotation, scale=1.3,
+                translation=(20.0, -7.0), position_noise=noise, seed=seed,
+            )
+            pairs.append(generate_synthetic(spec)[:2])
+        # orientations next to +-pi, and exact copies turned by almost +-pi
+        g1 = pairs[0][0]
+        g1 = ImageGraph(
+            points=tuple(replace(q, orientation=near_pi[k % 4]) for k, q in enumerate(g1.points))
+        )
+        for rotation in (math.pi - 1e-10, -math.pi + 1e-10):
+            pairs.append((g1, apply_similarity(g1, rotation=rotation, scale=0.8, translation=(3.0, 4.0))))
+        weight_sets = (GeomWeights(), GeomWeights(w_bearing=0.0), GeomWeights(r0=25.0))
+        for (g1, g2), w in itertools.product(pairs, weight_sets):
+            cands = generate_candidates(g1, g2, MatchParams(t_feat=-0.5, limit_l=100))
+            for t_geom in (-1.0, -0.5, 0.0, 0.5, 0.99):
+                p = MatchParams(t_feat=-0.5, t_geom=t_geom, limit_l=100, geom_weights=w)
+                gc = build_conflict_graph(g1, g2, cands, p)
+                assert np.array_equal(gc.adjacency, conflict_adjacency(g1, g2, cands, p))
+
+    def test_huge_coordinates_as_scalar_oracle(self):
+        # differences overflow to inf and inf - inf is NaN, silently in the
+        # scalar loop; the array build must neither warn nor draw other edges
+        pts = [(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308), (5.0, 5.0)]
+        g1, g2 = graph(pts), graph(pts[::-1])
+        cands = [MatchCandidate(i, a, 1.0) for i in range(4) for a in range(4)]
+        for t_geom in (-1.0, 0.0, 0.5):
+            p = MatchParams(t_feat=-0.5, t_geom=t_geom)
+            gc = build_conflict_graph(g1, g2, cands, p)
+            assert np.array_equal(gc.adjacency, conflict_adjacency(g1, g2, cands, p))
 
     def test_monotone_in_t_geom(self):
         g1, g2, _ = generate_synthetic(

@@ -15,6 +15,7 @@ from qimatch.graph_model import (
     d_geom,
     geom_relation,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -31,6 +32,24 @@ class TestWrapAngle:
     def test_idempotent_in_range(self):
         for theta in (-math.pi, -1.5, 0.0, 2.0, math.pi - 1e-12):
             assert wrap_angle(wrap_angle(theta)) == wrap_angle(theta)
+
+    def test_array_form_is_bit_exact(self):
+        edge = [
+            -math.pi,
+            math.nextafter(math.pi, 0.0),
+            math.pi,
+            math.nextafter(-math.pi, -math.inf),  # the modulo lands on pi: the fix-up
+            3 * math.pi,
+            -3 * math.pi,
+            -0.0,
+            -1e3,
+        ]
+        rng = np.random.default_rng(5)
+        thetas = np.array(edge + rng.uniform(-20.0, 20.0, 400).tolist()).reshape(-1, 2)
+        got = wrap_angles(thetas)
+        want = np.array([wrap_angle(t) for t in thetas.ravel().tolist()]).reshape(thetas.shape)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got[1, 1] == -math.pi
 
     @given(st.floats(-100, 100), st.integers(-5, 5))
     def test_periodic(self, theta, k):
