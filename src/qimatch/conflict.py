@@ -103,21 +103,20 @@ def generate_candidates(
 
 def _pose_tables(g: ImageGraph, idx: np.ndarray) -> list[np.ndarray]:
     """Relative pose of every ordered pair (a, b) of the m points idx of g,
-    anchored at a, as tables flattened at a * m + b: the distance in units of
-    a's scale, then geom_relation's log distance, bearing, log scale ratio
-    and orientation difference."""
+    anchored at a, as tables flattened at a * m + b: geom_relation's log
+    distance (in units of a's scale), bearing, log scale ratio and
+    orientation difference."""
     pts = [g.points[k] for k in idx.tolist()]
     x, y, s, o = np.array([(q.x, q.y, q.scale, q.orientation) for q in pts]).reshape(-1, 4).T
     dx, dy = x - x[:, None], y - y[:, None]
-    dist = np.hypot(dx, dy) / s[:, None]
-    # a zero distance (the diagonal too) has no log; a rule-2 pair on one raises
-    log_dist = np.log(dist, out=np.zeros_like(dist), where=dist > 0)
+    # -inf where the distance is 0 (the diagonal too); a rule-2 pair on one raises
+    log_dist = np.log(np.hypot(dx, dy) / s[:, None])
     bearing = wrap_angles(np.arctan2(dy, dx) - o[:, None])
-    rel = (dist, log_dist, bearing, np.log(s / s[:, None]), wrap_angles(o - o[:, None]))
+    rel = (log_dist, bearing, np.log(s / s[:, None]), wrap_angles(o - o[:, None]))
     return [r.ravel() for r in rel]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge coordinates: silent, as in scalar maths
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # huge or coincident points
 def build_conflict_graph(
     g1: ImageGraph,
     g2: ImageGraph,
@@ -143,7 +142,7 @@ def build_conflict_graph(
         pts, inv = np.unique(idx, return_inverse=True)
         tables.append(_pose_tables(g, pts))
         flat.append(inv[s] * len(pts) + inv[t])
-    coincident = [tab[0][f] == 0 for tab, f in zip(tables, flat)]
+    coincident = [tab[0][f] == -np.inf for tab, f in zip(tables, flat)]
     bad = np.flatnonzero(coincident[0] | coincident[1])
     if bad.size:  # the first pair in loop order; there the first image wins
         k = bad[0]
@@ -155,9 +154,9 @@ def build_conflict_graph(
     # d_geom's residual, term by term in its order
     w = p.geom_weights
     r2 = np.zeros(len(s))
-    for k, wk in enumerate((w.w_dist, w.w_bearing, w.w_scale, w.w_orient), start=1):
+    for k, wk in enumerate((w.w_dist, w.w_bearing, w.w_scale, w.w_orient)):
         d = tables[0][k][flat[0]] - tables[1][k][flat[1]]
-        if k in (2, 4):  # bearing and orientation differences are angles
+        if k in (1, 3):  # bearing and orientation differences are angles
             d = wrap_angles(d)
         r2 += wk * d * d
     d = 1.0 - 2.0 * np.sqrt(r2) / w.r0

@@ -132,8 +132,6 @@ def _orientation_histogram(
     inside = r2 <= radius * radius
     mag = np.hypot(gx, gy)
     weight = mag * np.exp(-r2 / (2.0 * (1.5 * sigma) ** 2)) * inside
-    if not np.any(weight > 0):
-        return None
     ang = np.arctan2(gy, gx) - orientation
     # linear interpolation into circular bins
     t = (ang / (2.0 * math.pi)) % 1.0 * bins

@@ -105,33 +105,40 @@ def solve_exact(q: QuboInstance) -> SolveResult:
     )
 
 
-def _clique_cover_bound(p_mask: int, adj: list[int]) -> int:
-    """Number of cliques in the first-fit partition of the residual vertices,
-    an upper bound on their independent set size.  Built one clique at a time
-    on bitsets as in BBMC (San Segundo et al. 2011): one step per vertex."""
+def _cover_and_branch(p_mask: int, adj: list[int]) -> tuple[int, int]:
+    """One walk over the residual vertices p_mask.  Returns the number of
+    cliques in their first-fit partition, an upper bound on their independent
+    set size built one clique at a time on bitsets as in BBMC (San Segundo et
+    al. 2011), and the vertex of highest residual degree, lowest index on
+    ties (-1 if p_mask is empty)."""
     cliques = 0
+    v = v_deg = -1
     m = p_mask
     while m:
         cliques += 1
         q = m  # uncovered vertices adjacent to every member so far
         while q:
-            v = (q & -q).bit_length() - 1
-            m &= ~(1 << v)
-            q &= adj[v]
-    return cliques
+            bit = q & -q
+            u = bit.bit_length() - 1
+            m ^= bit
+            q &= adj[u]
+            deg = (adj[u] & p_mask).bit_count()
+            # the walk is not in index order, so ties compare indices
+            if deg > v_deg or (deg == v_deg and u < v):
+                v, v_deg = u, deg
+    return cliques, v
 
 
 def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
     """Exact maximum independent set by branch and bound.
 
-    Branches on the highest-degree vertex of the residual graph (include
-    first), pruning with the greedy clique-cover bound.  Deterministic:
-    ties break toward the lower vertex index.  The search runs on an explicit
-    stack, so its depth is not bounded by the interpreter's recursion limit.
+    One walk per search node gives both the greedy clique-cover bound it
+    prunes with and the vertex it branches on: the highest-degree vertex of
+    the residual graph, lowest index on ties, included first.  Deterministic.
+    The search runs on an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     n = gc.n
-    if n == 0:
-        return set(), True
     rows = np.packbits(gc.adjacency, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
 
@@ -146,19 +153,9 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
                 best_size = cur_size
                 best_mask = cur_mask
             continue
-        if cur_size + _clique_cover_bound(p_mask, adj) <= best_size:
+        cliques, v = _cover_and_branch(p_mask, adj)
+        if cur_size + cliques <= best_size:
             continue
-        # highest residual degree, lowest index on ties
-        v = -1
-        v_deg = -1
-        m = p_mask
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (adj[u] & p_mask).bit_count()
-            if deg > v_deg:
-                v_deg = deg
-                v = u
         # exclude pushed first so the include branch is searched first
         stack.append((cur_mask, cur_size, p_mask & ~(1 << v)))
         stack.append((cur_mask | (1 << v), cur_size + 1, p_mask & ~(adj[v] | (1 << v))))

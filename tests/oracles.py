@@ -112,6 +112,19 @@ def first_fit_clique_count(p_mask: int, adj: list[int]) -> int:
     return len(cliques)
 
 
+def max_degree_vertex(p_mask: int, adj: list[int]) -> int:
+    """The vertex of p_mask with the most neighbors in p_mask, the lowest
+    index among equals, found by scanning vertices in index order; -1 if
+    p_mask is empty."""
+    best, best_deg = -1, -1
+    for v in range(p_mask.bit_length()):
+        if (p_mask >> v) & 1:
+            deg = bin(adj[v] & p_mask).count("1")
+            if deg > best_deg:
+                best, best_deg = v, deg
+    return best
+
+
 def local_field(q: QuboInstance, x: Assignment, k: int) -> float:
     """Energy gained by setting bit k (given the other bits); flipping bit k
     changes the energy by +field if the bit turns on, -field if it turns off."""

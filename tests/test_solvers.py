@@ -10,13 +10,14 @@ from oracles import (
     first_fit_clique_count,
     local_field,
     make_gc,
+    max_degree_vertex,
     random_conflict_graph,
 )
 from qimatch.qubo import Assignment, QuboInstance, energy, mis_to_qubo
 from qimatch.rng import Xorshift64Star, derive_seed
 from qimatch.solvers import (
     AnnealSchedule,
-    _clique_cover_bound,
+    _cover_and_branch,
     solve_exact,
     solve_mis_bnb,
     solve_sa,
@@ -117,15 +118,21 @@ class TestSolveMisBnb:
         gc = random_conflict_graph(rng, 15, 0.4)
         assert solve_mis_bnb(gc) == solve_mis_bnb(gc)
 
-    def test_clique_cover_bound_is_first_fit(self):
+    def test_cover_and_branch_is_first_fit_and_max_degree(self):
         rng = Xorshift64Star(515)
+        cases = []
         for _ in range(300):
             n = 1 + rng.randrange(40)
             gc = random_conflict_graph(rng, n, rng.uniform())
+            cases += [(gc, rng.next_u64() & ((1 << n) - 1)) for _ in range(5)]
+        # walked 0, 3, 1, 2: vertex 3 is reached before vertex 1, of the same degree
+        cases.append((make_gc(4, [(0, 3), (1, 2), (1, 3)]), 0b1111))
+        for gc, p_mask in cases:
             adj = [sum(1 << v for v in nbrs) for nbrs in adjacency(gc)]
-            for _ in range(5):
-                p_mask = rng.next_u64() & ((1 << n) - 1)
-                assert _clique_cover_bound(p_mask, adj) == first_fit_clique_count(p_mask, adj)
+            assert _cover_and_branch(p_mask, adj) == (
+                first_fit_clique_count(p_mask, adj),
+                max_degree_vertex(p_mask, adj),
+            )
 
 
 class TestLocalField:
