@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .conflict import MatchParams
@@ -46,23 +47,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_match_flags(sp, with_solver=True):
+def _add_match_flags(sp):
+    sp.add_argument("graph1")
+    sp.add_argument("graph2")
     sp.add_argument(
-        "--tfeat", type=float, default=MatchParams.t_feat, help="candidate admission threshold"
+        "--tfeat", dest="t_feat", type=float, default=MatchParams.t_feat,
+        help="candidate admission threshold",
     )
     sp.add_argument(
-        "--tgeom", type=float, default=MatchParams.t_geom, help="geometric conflict threshold"
+        "--tgeom", dest="t_geom", type=float, default=MatchParams.t_geom,
+        help="geometric conflict threshold",
     )
     sp.add_argument(
-        "--limit", type=int, default=MatchParams.limit_l, help="conflict graph vertex cap"
+        "--limit", dest="limit_l", type=int, default=MatchParams.limit_l,
+        help="conflict graph vertex cap",
     )
-    if with_solver:
-        sp.add_argument("--solver", choices=SOLVER_NAMES, default="bnb")
-        sp.add_argument("--seed", type=int, default=AnnealSchedule.seed, help="annealing seed")
+    sp.add_argument("-o", "--output", required=True)
 
 
-def _match_params(args) -> MatchParams:
-    return MatchParams(t_feat=args.tfeat, t_geom=args.tgeom, limit_l=args.limit)
+def _from_args(cls, args, **extra):
+    """cls built from the parsed flags whose dest names one of its fields;
+    extra supplies the fields no single flag sets."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **extra)
 
 
 def _load_pair(args) -> tuple[ImageGraph, ImageGraph]:
@@ -71,31 +78,13 @@ def _load_pair(args) -> tuple[ImageGraph, ImageGraph]:
 
 def cmd_detect(args):
     img = read_pgm(args.image)
-    params = DetectorParams(
-        n_scales=args.scales,
-        sigma0=args.sigma0,
-        scale_step=args.scale_step,
-        response_threshold=args.threshold,
-        max_points=args.max_points,
-        descriptor_bins=args.bins,
-    )
-    points = detect(img, params)
+    points = detect(img, _from_args(DetectorParams, args))
     graph = ImageGraph(points=tuple(points), id=Path(args.image).name)
     Path(args.output).write_text(graph_to_json(graph))
 
 
 def cmd_gen(args):
-    spec = SyntheticSpec(
-        n_inliers=args.inliers,
-        n_outliers_per_image=args.outliers,
-        rotation=args.rotation,
-        scale=args.scale,
-        translation=(args.tx, args.ty),
-        position_noise=args.position_noise,
-        descriptor_noise=args.descriptor_noise,
-        descriptor_dim=args.dim,
-        seed=args.seed,
-    )
+    spec = _from_args(SyntheticSpec, args, translation=(args.tx, args.ty))
     g1, g2, truth = generate_synthetic(spec)
     prefix = args.output
     write_graph(g1, f"{prefix}_1.json")
@@ -106,19 +95,17 @@ def cmd_gen(args):
 
 
 def cmd_match(args):
-    g1, g2 = _load_pair(args)
     result = match_images(
-        g1,
-        g2,
-        _match_params(args),
+        *_load_pair(args),
+        _from_args(MatchParams, args),
         solver=args.solver,
-        schedule=AnnealSchedule(seed=args.seed),
+        schedule=_from_args(AnnealSchedule, args),
     )
     Path(args.output).write_text(match_result_to_json(result))
 
 
 def cmd_export_qubo(args):
-    gc = conflict_graph(*_load_pair(args), _match_params(args))
+    gc = conflict_graph(*_load_pair(args), _from_args(MatchParams, args))
     q = mis_to_qubo(gc)
     Path(args.output).write_text(write_qubo(q))
     labels = {str(k): [c.i, c.alpha] for k, c in enumerate(gc.vertices)}
@@ -127,12 +114,12 @@ def cmd_export_qubo(args):
 
 def cmd_solve(args):
     q = read_qubo(Path(args.qubo).read_text())
-    res = solve_qubo(q, args.solver, AnnealSchedule(seed=args.seed))
+    res = solve_qubo(q, args.solver, _from_args(AnnealSchedule, args))
     Path(args.output).write_text("".join(f"{b}\n" for b in res.best.bits))
 
 
 def cmd_export_dot(args):
-    gc = conflict_graph(*_load_pair(args), _match_params(args))
+    gc = conflict_graph(*_load_pair(args), _from_args(MatchParams, args))
     Path(args.output).write_text(conflict_graph_to_dot(gc))
 
 
@@ -143,17 +130,25 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("detect", help="detect interest points in a PGM image")
     sp.add_argument("image")
     sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--scales", type=int, default=DetectorParams.n_scales)
+    sp.add_argument("--scales", dest="n_scales", type=int, default=DetectorParams.n_scales)
     sp.add_argument("--sigma0", type=float, default=DetectorParams.sigma0)
     sp.add_argument("--scale-step", type=float, default=DetectorParams.scale_step)
-    sp.add_argument("--threshold", type=float, default=DetectorParams.response_threshold)
+    sp.add_argument(
+        "--threshold", dest="response_threshold", type=float,
+        default=DetectorParams.response_threshold,
+    )
     sp.add_argument("--max-points", type=int, default=DetectorParams.max_points)
-    sp.add_argument("--bins", type=int, default=DetectorParams.descriptor_bins)
+    sp.add_argument(
+        "--bins", dest="descriptor_bins", type=int, default=DetectorParams.descriptor_bins
+    )
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("gen", help="generate a synthetic graph pair with ground truth")
-    sp.add_argument("--inliers", type=int, default=SyntheticSpec.n_inliers)
-    sp.add_argument("--outliers", type=int, default=SyntheticSpec.n_outliers_per_image)
+    sp.add_argument("--inliers", dest="n_inliers", type=int, default=SyntheticSpec.n_inliers)
+    sp.add_argument(
+        "--outliers", dest="n_outliers_per_image", type=int,
+        default=SyntheticSpec.n_outliers_per_image,
+    )
     sp.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     sp.add_argument("--rotation", type=float, default=SyntheticSpec.rotation)
     sp.add_argument("--scale", type=float, default=SyntheticSpec.scale)
@@ -161,22 +156,18 @@ def build_parser() -> _Parser:
     sp.add_argument("--ty", type=float, default=SyntheticSpec.translation[1])
     sp.add_argument("--position-noise", type=float, default=SyntheticSpec.position_noise)
     sp.add_argument("--descriptor-noise", type=float, default=SyntheticSpec.descriptor_noise)
-    sp.add_argument("--dim", type=int, default=SyntheticSpec.descriptor_dim)
+    sp.add_argument("--dim", dest="descriptor_dim", type=int, default=SyntheticSpec.descriptor_dim)
     sp.add_argument("-o", "--output", required=True, help="output file prefix")
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("match", help="match two graph files")
-    sp.add_argument("graph1")
-    sp.add_argument("graph2")
     _add_match_flags(sp)
-    sp.add_argument("-o", "--output", required=True)
+    sp.add_argument("--solver", choices=SOLVER_NAMES, default="bnb")
+    sp.add_argument("--seed", type=int, default=AnnealSchedule.seed, help="annealing seed")
     sp.set_defaults(func=cmd_match)
 
     sp = sub.add_parser("export-qubo", help="write the QUBO instance for a graph pair")
-    sp.add_argument("graph1")
-    sp.add_argument("graph2")
-    _add_match_flags(sp, with_solver=False)
-    sp.add_argument("-o", "--output", required=True)
+    _add_match_flags(sp)
     sp.set_defaults(func=cmd_export_qubo)
 
     sp = sub.add_parser("solve", help="solve a QUBO file")
@@ -187,10 +178,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("export-dot", help="write the conflict graph in DOT format")
-    sp.add_argument("graph1")
-    sp.add_argument("graph2")
-    _add_match_flags(sp, with_solver=False)
-    sp.add_argument("-o", "--output", required=True)
+    _add_match_flags(sp)
     sp.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -40,7 +40,7 @@ class RasterImage:
                 f"pixel array shape {px.shape} does not match "
                 f"{self.height}x{self.width}"
             )
-        if px.size and (px.min() < 0.0 or px.max() > 1.0):
+        if not (px.min() >= 0.0 and px.max() <= 1.0):  # NaN fails both
             raise ValueError("pixel values must lie in [0, 1]")
         px = px.copy()
         px.setflags(write=False)

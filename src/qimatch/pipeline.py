@@ -35,7 +35,6 @@ class MatchResult:
     """
 
     pairs: tuple[tuple[int, int], ...]
-    similarity: int
     solver: str
     proven_optimal: bool
     params: MatchParams
@@ -47,9 +46,11 @@ class MatchResult:
         seconds = [a for _, a in pairs]
         if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
             raise ValueError(f"match pairs are not one-to-one: {pairs}")
-        if self.similarity != len(pairs):
-            raise ValueError("similarity must equal the number of pairs")
         object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def similarity(self) -> int:
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rotation", "scale", "translation", "position_noise",
+                     "descriptor_noise", "field_size"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_inliers < 0 or self.n_outliers_per_image < 0:
             raise ValueError("point counts must be >= 0")
         if not self.scale > 0:
@@ -109,7 +115,6 @@ def decode_matches(
     pairs = tuple((gc.vertices[k].i, gc.vertices[k].alpha) for k in selected)
     return MatchResult(
         pairs=pairs,
-        similarity=len(pairs),
         solver=solver,
         proven_optimal=proven_optimal,
         params=gc.params,
@@ -193,14 +198,14 @@ def conflict_graph(g1: ImageGraph, g2: ImageGraph, p: MatchParams) -> ConflictGr
 
 
 def solve_qubo(
-    q: QuboInstance, solver: str, schedule: AnnealSchedule | None = None
+    q: QuboInstance, solver: str, schedule: AnnealSchedule = AnnealSchedule()
 ) -> SolveResult:
     """Minimize q by enumeration ("exact") or simulated annealing ("sa");
-    schedule applies to "sa" only and defaults to AnnealSchedule()."""
+    schedule applies to "sa" only."""
     if solver == "exact":
         return solve_exact(q)
     if solver == "sa":
-        return solve_sa(q, schedule if schedule is not None else AnnealSchedule())
+        return solve_sa(q, schedule)
     raise ValueError(f"unknown QUBO solver {solver!r}; choose from {QUBO_SOLVERS}")
 
 
@@ -209,20 +214,14 @@ def match_images(
     g2: ImageGraph,
     p: MatchParams = MatchParams(),
     solver: str = "bnb",
-    schedule: AnnealSchedule | None = None,
+    schedule: AnnealSchedule = AnnealSchedule(),
 ) -> MatchResult:
     """Run the full pipeline: candidates -> conflict graph -> solver -> matches."""
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
     gc = conflict_graph(g1, g2, p)
     if gc.n == 0:
-        return MatchResult(
-            pairs=(),
-            similarity=0,
-            solver=solver,
-            proven_optimal=solver != "sa",
-            params=p,
-        )
+        return MatchResult(pairs=(), solver=solver, proven_optimal=solver != "sa", params=p)
     if solver == "bnb":
         mis, proven = solve_mis_bnb(gc)
         x = Assignment(bits=tuple(1 if k in mis else 0 for k in range(gc.n)))

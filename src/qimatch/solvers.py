@@ -4,7 +4,6 @@ simulated annealing as the heuristic stand-in for annealing hardware."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ EXACT_LIMIT = 25  # enumeration guard: 2^25 assignments
 @dataclass(frozen=True)
 class SolveStats:
     evaluations: int
-    restarts: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,6 @@ def solve_exact(q: QuboInstance) -> SolveResult:
     bits, read little-endian, form the smallest integer."""
     if q.n > EXACT_LIMIT:
         raise ValueError(f"n={q.n} exceeds the enumeration limit {EXACT_LIMIT}")
-    t0 = time.perf_counter()
     n = q.n
     total = 1 << n
     best_e = math.inf
@@ -101,7 +97,7 @@ def solve_exact(q: QuboInstance) -> SolveResult:
         best=best,
         best_energy=energy(q, best),
         proven_optimal=True,
-        stats=SolveStats(evaluations=total, restarts=1, wall_time=time.perf_counter() - t0),
+        stats=SolveStats(evaluations=total),
     )
 
 
@@ -172,7 +168,6 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
     sequential execution regardless of how restarts are scheduled: ties
     across restarts break toward the lower restart index.
     """
-    t0 = time.perf_counter()
     n = q.n
     diag, neighbors = _adjacency(q)
     betas = s.betas()
@@ -201,7 +196,7 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
                     if e < local_best_e:
                         local_best_e = e
                         local_best = x.copy()
-        if r == 0 or local_best_e < best_e:
+        if local_best_e < best_e:
             best_e = local_best_e
             best_bits = local_best
     best = Assignment(bits=tuple(best_bits))
@@ -209,9 +204,5 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
         best=best,
         best_energy=energy(q, best),
         proven_optimal=False,
-        stats=SolveStats(
-            evaluations=s.restarts * s.sweeps * n,
-            restarts=s.restarts,
-            wall_time=time.perf_counter() - t0,
-        ),
+        stats=SolveStats(evaluations=s.restarts * s.sweeps * n),
     )

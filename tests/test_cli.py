@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qimatch.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, _match_params, build_parser, main
+from qimatch import cli
+from qimatch.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, build_parser, main
 from qimatch.conflict import MatchParams
 from qimatch.detector import DetectorParams
 from qimatch.qubo import read_qubo
@@ -145,25 +147,99 @@ def test_non_finite_graph_exit_code(tmp_path):
     assert main(["match", str(nan), f"{prefix}_2.json", "-o", str(out)]) == EXIT_PARSE
 
 
-def test_parser_defaults_are_dataclass_defaults():
+def test_gen_non_finite_exit_code(tmp_path, capsys):
+    prefix = str(tmp_path / "pair")
+    for flags in (["--position-noise", "nan"], ["--rotation", "inf"], ["--tx", "nan"]):
+        assert main(["gen", "-o", prefix, *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+    assert not Path(f"{prefix}_1.json").exists()
+
+
+class _Reached(Exception):
+    """Raised in place of the library call a command makes, with its arguments."""
+
+
+def _library_call(monkeypatch, tmp_path, argv):
+    """The (args, kwargs) that `qimatch argv` passes to the library call that
+    consumes its settings; the files the command reads are never opened."""
+
+    def reach(*args, **kwargs):
+        raise _Reached(args, kwargs)
+
+    for name in ("detect", "generate_synthetic", "match_images", "conflict_graph", "solve_qubo"):
+        monkeypatch.setattr(cli, name, reach)
+    for name in ("read_pgm", "read_graph", "read_qubo"):
+        monkeypatch.setattr(cli, name, lambda source, name=name: name)
+    monkeypatch.chdir(tmp_path)
+    Path("inst.qubo").write_text("")  # solve reads its text before read_qubo
+    with pytest.raises(_Reached) as hit:
+        main(argv)
+    return hit.value.args
+
+
+BARE = {
+    "detect": ["detect", "img.pgm", "-o", "g.json"],
+    "gen": ["gen", "-o", "pair"],
+    "match": ["match", "a.json", "b.json", "-o", "out"],
+    "export-qubo": ["export-qubo", "a.json", "b.json", "-o", "out"],
+    "export-dot": ["export-dot", "a.json", "b.json", "-o", "out"],
+    "solve": ["solve", "inst.qubo", "-o", "out"],
+}
+
+
+def test_parser_defaults_are_dataclass_defaults(monkeypatch, tmp_path):
+    def call(command):
+        return _library_call(monkeypatch, tmp_path, BARE[command])
+
+    assert call("detect") == (("read_pgm", DetectorParams()), {})
+    assert call("gen") == ((SyntheticSpec(),), {})
+    assert call("match") == (
+        ("read_graph", "read_graph", MatchParams()),
+        {"solver": "bnb", "schedule": AnnealSchedule()},
+    )
+    assert call("export-qubo") == (("read_graph", "read_graph", MatchParams()), {})
+    assert call("export-dot") == (("read_graph", "read_graph", MatchParams()), {})
+    assert call("solve") == (("read_qubo", "exact", AnnealSchedule()), {})
+
+
+def test_every_flag_reaches_its_field(monkeypatch, tmp_path):
+    detector = DetectorParams(n_scales=5, sigma0=1.5, scale_step=1.3, response_threshold=0.05,
+                              max_points=7, descriptor_bins=8)
+    spec = SyntheticSpec(n_inliers=5, n_outliers_per_image=2, rotation=0.3, scale=1.1,
+                         translation=(2.0, -3.0), position_noise=0.5, descriptor_noise=0.1,
+                         descriptor_dim=8, seed=9)
+    match = MatchParams(t_feat=0.5, t_geom=-0.25, limit_l=40)
+    schedule = AnnealSchedule(seed=7)
+    flags = {
+        "detect": ["--scales", "5", "--sigma0", "1.5", "--scale-step", "1.3",
+                   "--threshold", "0.05", "--max-points", "7", "--bins", "8"],
+        "gen": ["--inliers", "5", "--outliers", "2", "--seed", "9", "--rotation", "0.3",
+                "--scale", "1.1", "--tx", "2", "--ty", "-3", "--position-noise", "0.5",
+                "--descriptor-noise", "0.1", "--dim", "8"],
+        "match": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40",
+                  "--solver", "sa", "--seed", "7"],
+        "export-qubo": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40"],
+        "export-dot": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40"],
+        "solve": ["--solver", "sa", "--seed", "7"],
+    }
     parse = build_parser().parse_args
-    d = DetectorParams()
-    args = parse(["detect", "img.pgm", "-o", "g.json"])
-    assert (args.scales, args.sigma0, args.scale_step, args.threshold, args.max_points,
-            args.bins) == (d.n_scales, d.sigma0, d.scale_step, d.response_threshold,
-                           d.max_points, d.descriptor_bins)
-    s = SyntheticSpec()
-    args = parse(["gen", "-o", "pair"])
-    assert (args.inliers, args.outliers, args.seed, args.rotation, args.scale,
-            (args.tx, args.ty), args.position_noise, args.descriptor_noise,
-            args.dim) == (s.n_inliers, s.n_outliers_per_image, s.seed, s.rotation,
-                          s.scale, s.translation, s.position_noise, s.descriptor_noise,
-                          s.descriptor_dim)
-    for command in ("match", "export-qubo", "export-dot"):
-        args = parse([command, "a.json", "b.json", "-o", "out"])
-        assert _match_params(args) == MatchParams()
-    assert parse(["match", "a.json", "b.json", "-o", "out"]).seed == AnnealSchedule().seed
-    assert parse(["solve", "inst.qubo", "-o", "out"]).seed == AnnealSchedule().seed
+    for command, bare in BARE.items():
+        # every flag of the command is set away from its default
+        full, base = vars(parse(bare + flags[command])), vars(parse(bare))
+        unset = {k for k, v in full.items() if v == base[k]}
+        assert unset <= {"command", "func", "image", "graph1", "graph2", "qubo", "output"}
+
+    def call(command):
+        return _library_call(monkeypatch, tmp_path, BARE[command] + flags[command])
+
+    assert call("detect") == (("read_pgm", detector), {})
+    assert call("gen") == ((spec,), {})
+    assert call("match") == (
+        ("read_graph", "read_graph", match), {"solver": "sa", "schedule": schedule}
+    )
+    assert call("export-qubo") == (("read_graph", "read_graph", match), {})
+    assert call("export-dot") == (("read_graph", "read_graph", match), {})
+    assert call("solve") == (("read_qubo", "sa", schedule), {})
 
 
 def test_demo_script_runs():

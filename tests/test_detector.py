@@ -168,6 +168,16 @@ def test_small_image_rejected():
         RasterImage(2, 2, np.zeros((2, 2)))
 
 
+def test_raster_values_rejected():
+    for value in (-0.01, 1.01, math.nan):
+        px = np.full((8, 8), 0.5)
+        px[3, 4] = value
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            RasterImage(8, 8, px)
+    with pytest.raises(ValueError, match="does not match"):
+        RasterImage(8, 6, np.zeros((8, 6)))
+
+
 class TestPgm:
     def test_ascii_p2(self, tmp_path):
         f = tmp_path / "a.pgm"

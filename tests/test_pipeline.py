@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,24 +71,40 @@ class TestMatchResult:
         with pytest.raises(ValueError):
             MatchResult(
                 pairs=((0, 1), (0, 2)),
-                similarity=2,
                 solver="bnb",
                 proven_optimal=True,
                 params=MatchParams(),
             )
 
-    def test_similarity_must_match(self):
-        with pytest.raises(ValueError):
-            MatchResult(
-                pairs=((0, 1),),
-                similarity=2,
-                solver="bnb",
-                proven_optimal=True,
-                params=MatchParams(),
-            )
 
 
 class TestGenerateSynthetic:
+    def test_spec_validation(self):
+        for bad, message in (
+            (dict(n_inliers=-1), "point counts"),
+            (dict(n_outliers_per_image=-1), "point counts"),
+            (dict(scale=0.0), "scale must be > 0"),
+            (dict(scale=-1.0), "scale must be > 0"),
+            (dict(position_noise=-0.1), "noise levels"),
+            (dict(descriptor_noise=-0.1), "noise levels"),
+            (dict(field_size=0.0), "field_size must be > 0"),
+            (dict(descriptor_dim=1), "descriptor_dim"),
+            (dict(rotation=math.nan), "rotation must be finite"),
+            (dict(rotation=math.inf), "rotation must be finite"),
+            (dict(scale=math.nan), "scale must be finite"),
+            (dict(scale=math.inf), "scale must be finite"),
+            (dict(translation=(math.nan, 0.0)), "translation must be finite"),
+            (dict(translation=(0.0, -math.inf)), "translation must be finite"),
+            (dict(position_noise=math.nan), "position_noise must be finite"),
+            (dict(position_noise=math.inf), "position_noise must be finite"),
+            (dict(descriptor_noise=math.nan), "descriptor_noise must be finite"),
+            (dict(descriptor_noise=-math.inf), "descriptor_noise must be finite"),
+            (dict(field_size=math.nan), "field_size must be finite"),
+            (dict(field_size=math.inf), "field_size must be finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SyntheticSpec(**bad)
+
     def test_empty_spec(self):
         g1, g2, truth = generate_synthetic(SyntheticSpec(n_inliers=0, n_outliers_per_image=0))
         assert len(g1) == 0 and len(g2) == 0 and truth == ()
@@ -238,7 +255,6 @@ class TestExports:
     def test_match_result_json(self):
         r = MatchResult(
             pairs=((1, 2), (3, 0)),
-            similarity=2,
             solver="bnb",
             proven_optimal=True,
             params=MatchParams(),
