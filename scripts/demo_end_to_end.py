@@ -47,10 +47,10 @@ def main():
         response_threshold=0.005, max_points=2 * args.blobs,
     )
     g1 = ImageGraph(
-        points=tuple(detect(RasterImage(args.size, args.size, img1), params)), id="img1"
+        points=tuple(detect(RasterImage(img1), params)), id="img1"
     )
     g2 = ImageGraph(
-        points=tuple(detect(RasterImage(args.size, args.size, img2), params)), id="img2"
+        points=tuple(detect(RasterImage(img2), params)), id="img2"
     )
     print(f"detected {len(g1)} / {len(g2)} points")
 

@@ -8,7 +8,6 @@ from .graph_model import (
     GeomWeights,
     ImageGraph,
     InterestPoint,
-    d_feat,
     d_geom,
     geom_relation,
     wrap_angle,

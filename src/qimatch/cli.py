@@ -46,6 +46,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """argparse's, except that an unrecognised argument, found by a second
+        pass that requires nothing, is reported before a missing one."""
+        try:
+            return super().parse_args(args, namespace)
+        except UsageError:
+            subs = [p for a in self._actions if isinstance(a, argparse._SubParsersAction)
+                    for p in a.choices.values()]
+            required = [a for p in (self, *subs) for a in p._actions if a.required]
+            for a in required:
+                a.required = False
+            try:
+                extras = self.parse_known_args(args)[1]
+            finally:
+                for a in required:
+                    a.required = True
+            if extras:
+                raise UsageError(f"unrecognized arguments: {' '.join(extras)}") from None
+            raise
+
 
 def _add_match_flags(sp):
     sp.add_argument("graph1")

@@ -27,22 +27,14 @@ class PgmFormatError(ParseError):
 class RasterImage:
     """Grayscale raster with values in [0, 1], row-major."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # shape (height, width)
 
     def __post_init__(self):
-        if self.width < 3 or self.height < 3:
-            raise ValueError("image must be at least 3x3")
-        px = np.asarray(self.pixels, dtype=float)
-        if px.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel array shape {px.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
+        px = np.array(self.pixels, dtype=float)  # a copy
+        if px.ndim != 2 or min(px.shape) < 3:
+            raise ValueError(f"image must be a 2-D array of at least 3x3, got shape {px.shape}")
         if not (px.min() >= 0.0 and px.max() <= 1.0):  # NaN fails both
             raise ValueError("pixel values must lie in [0, 1]")
-        px = px.copy()
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
@@ -160,7 +152,7 @@ def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[Inter
     blurred = [_gaussian_blur(img.pixels, s) for s in sigmas]
     stack = np.stack([_laplacian(b, s) for s, b in zip(sigmas, blurred)])
 
-    h, w = img.height, img.width
+    h, w = img.pixels.shape
     extrema = np.zeros(stack.shape, dtype=bool)
     for k in range(1, p.n_scales - 1):
         core = stack[k, 1:-1, 1:-1]
@@ -258,5 +250,4 @@ def read_pgm(path) -> RasterImage:
 
     if arr.size and (arr.min() < 0 or arr.max() > maxval):
         raise PgmFormatError("pixel value out of range")
-    pixels = (arr / maxval).reshape(height, width)
-    return RasterImage(width=width, height=height, pixels=pixels)
+    return RasterImage((arr / maxval).reshape(height, width))

@@ -1,9 +1,10 @@
-"""Labeled-graph image representation and the two pairwise similarity measures.
+"""Labeled-graph image representation and the geometric similarity measure.
 
 An image is a list of interest points (position, scale, orientation, unit
-descriptor).  Feature similarity is the descriptor scalar product; geometric
-similarity compares the relative pose of two point pairs after factoring out
-global translation, rotation and uniform scaling.
+descriptor).  Feature similarity is the descriptor scalar product, scored in
+conflict.generate_candidates; geometric similarity compares the relative pose
+of two point pairs after factoring out global translation, rotation and
+uniform scaling.
 """
 
 from __future__ import annotations
@@ -152,15 +153,6 @@ def geom_relation(a: InterestPoint, b: InterestPoint) -> GeomRelation:
         log_scale_ratio=math.log(b.scale / a.scale),
         d_orient=b.orientation - a.orientation,
     )
-
-
-def d_feat(f1: np.ndarray, f2: np.ndarray) -> float:
-    """Scalar product of two unit descriptors; lies in [-1, 1]."""
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    if f1.shape != f2.shape:
-        raise ValueError(f"descriptor dimension mismatch: {f1.shape} vs {f2.shape}")
-    return float(np.dot(f1, f2))
 
 
 def d_geom(g1: GeomRelation, g2: GeomRelation, w: GeomWeights = GeomWeights()) -> float:

@@ -169,20 +169,31 @@ def generate_synthetic(
             descriptor=_random_unit(rng, spec.descriptor_dim),
         )
 
+    def overflow(cause):  # a finite spec can still overflow a generated inlier
+        return ValueError(f"{cause} takes an inlier out of the float range")
+
     inliers1 = [random_point() for _ in range(spec.n_inliers)]
-    moved = apply_similarity(
-        ImageGraph(points=tuple(inliers1)), spec.rotation, spec.scale, spec.translation
-    )
+    try:
+        moved = apply_similarity(
+            ImageGraph(points=tuple(inliers1)), spec.rotation, spec.scale, spec.translation
+        )
+    except ValueError:
+        raise overflow(f"scale {spec.scale} with translation {spec.translation}") from None
     inliers2 = []
     for p in moved.points:
         x, y, desc = p.x, p.y, p.descriptor
         if spec.position_noise > 0:
             x += spec.position_noise * rng.normal()
             y += spec.position_noise * rng.normal()
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise overflow(f"position_noise {spec.position_noise}")
         if spec.descriptor_noise > 0:
-            desc = desc + spec.descriptor_noise * np.array(
-                [rng.normal() for _ in range(spec.descriptor_dim)]
-            )
+            with np.errstate(over="ignore"):
+                desc = desc + spec.descriptor_noise * np.array(
+                    [rng.normal() for _ in range(spec.descriptor_dim)]
+                )
+                if not math.isfinite(np.linalg.norm(desc)):
+                    raise overflow(f"descriptor_noise {spec.descriptor_noise}")
         inliers2.append(replace(p, x=x, y=y, descriptor=desc))
     outliers1 = [random_point() for _ in range(spec.n_outliers_per_image)]
     outliers2 = [random_point() for _ in range(spec.n_outliers_per_image)]

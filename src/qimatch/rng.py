@@ -62,9 +62,3 @@ class Xorshift64Star:
             u1 = self.uniform()
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def randrange(self, n: int) -> int:
-        """Integer in [0, n) by the multiply-shift reduction."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return (self.next_u64() * n) >> 64

@@ -49,13 +49,9 @@ class AnnealSchedule:
             raise ValueError("restarts must be >= 1")
 
     def betas(self) -> list[float]:
-        if self.sweeps == 1:
-            return [self.beta_initial]
         ratio = self.beta_final / self.beta_initial
-        return [
-            self.beta_initial * ratio ** (t / (self.sweeps - 1))
-            for t in range(self.sweeps)
-        ]
+        span = max(1, self.sweeps - 1)
+        return [self.beta_initial * ratio ** (t / span) for t in range(self.sweeps)]
 
 
 def _adjacency(q: QuboInstance) -> tuple[list[float], list[list[tuple[int, float]]]]:
@@ -164,9 +160,9 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
     Each restart starts from the all-zero assignment with its own random
     stream derived from (seed, restart); sweeps visit variables in index
     order and accept flips with probability min(1, exp(-beta * dE)), using
-    the O(degree) incremental energy delta.  The result is identical to
-    sequential execution regardless of how restarts are scheduled: ties
-    across restarts break toward the lower restart index.
+    the O(degree) incremental energy delta.  The result is the first state,
+    in restart, sweep and variable order, that reaches the lowest energy
+    seen (the all-zero start if no flip goes below 0).
     """
     n = q.n
     diag, neighbors = _adjacency(q)
@@ -181,8 +177,6 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
         x = [0] * n
         h = diag.copy()
         e = 0.0
-        local_best_e = 0.0
-        local_best = x.copy()
         for beta in betas:
             for k in range(n):
                 d_e = h[k] if x[k] == 0 else -h[k]
@@ -193,12 +187,9 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
                     e += d_e
                     for j, v in neighbors[k]:
                         h[j] += sign * v
-                    if e < local_best_e:
-                        local_best_e = e
-                        local_best = x.copy()
-        if local_best_e < best_e:
-            best_e = local_best_e
-            best_bits = local_best
+                    if e < best_e:
+                        best_e = e
+                        best_bits = x.copy()
     best = Assignment(bits=tuple(best_bits))
     return SolveResult(
         best=best,

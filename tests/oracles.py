@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
-These deliberately avoid the library's solvers and encoders: independence is
-checked straight from the edge list, and energies are accumulated term by
-term over explicitly enumerated bit patterns.
+These deliberately avoid the library's solvers and encoders: independence
+and energies are enumerated over every bit pattern, one vertex at a time,
+straight from the edge list and the QUBO terms.
 """
 
 from __future__ import annotations
@@ -15,6 +15,13 @@ from qimatch.errors import DegenerateGeometryError
 from qimatch.graph_model import ImageGraph, d_geom, geom_relation
 from qimatch.qubo import Assignment, QuboInstance
 from qimatch.rng import Xorshift64Star
+
+
+def randrange(rng: Xorshift64Star, n: int) -> int:
+    """Integer in [0, n) from one draw of rng, by the multiply-shift reduction."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return (rng.next_u64() * n) >> 64
 
 
 def graph_from_edges(vertices, edges, params: MatchParams) -> ConflictGraph:
@@ -150,12 +157,17 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
 
 
 def independent_masks(n: int, edges) -> np.ndarray:
-    """All bitmasks over n vertices whose support is an independent set."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    ok = np.ones(idx.shape[0], dtype=bool)
+    """All bitmasks over n vertices whose support is an independent set, in
+    ascending order.  Built one vertex at a time: a mask whose highest bit is
+    v is independent when the mask without v is and holds no neighbour of v."""
+    lower = [0] * n  # neighbours of v below v, as a bitmask
     for u, v in edges:
-        ok &= ((idx >> u) & (idx >> v) & 1) == 0
-    return idx[ok]
+        lower[max(u, v)] |= 1 << min(u, v)
+    ok = np.ones(1, dtype=bool)
+    for v in range(n):
+        idx = np.arange(1 << v, dtype=np.int64)
+        ok = np.concatenate((ok, ok & ((idx & lower[v]) == 0)))
+    return np.flatnonzero(ok)
 
 
 def brute_force_mis(n: int, edges) -> tuple[int, set[int]]:
@@ -167,11 +179,18 @@ def brute_force_mis(n: int, edges) -> tuple[int, set[int]]:
 
 
 def enumerate_energies(n: int, terms) -> np.ndarray:
-    """Energy of every assignment, indexed by the little-endian bit pattern."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    e = np.zeros(idx.shape[0])
+    """Energy of every assignment, indexed by the little-endian bit pattern.
+    Built one variable at a time: setting bit v on top of the lower bits adds
+    its diagonal term and its coupling to each lower bit that is set."""
+    coef = np.zeros((n, n))
     for (i, j), v in terms.items():
-        e += v * ((idx >> i) & (idx >> j) & 1)
+        coef[min(i, j), max(i, j)] += v
+    e = np.zeros(1)
+    for v in range(n):
+        gain = np.full(1, coef[v, v])  # indexed by the pattern of bits below v
+        for u in range(v):
+            gain = np.concatenate((gain, gain + coef[u, v]))
+        e = np.concatenate((e, e + gain))
     return e
 
 
@@ -218,8 +237,8 @@ def ranked_extrema(img: RasterImage, p: DetectorParams) -> list[tuple[int, int, 
     ]
     found = []
     for k in range(1, len(stack) - 1):
-        for y in range(1, img.height - 1):
-            for x in range(1, img.width - 1):
+        for y in range(1, img.pixels.shape[0] - 1):
+            for x in range(1, img.pixels.shape[1] - 1):
                 r = stack[k][y][x]
                 nbs = [stack[k + dk][y + dy][x + dx] for dk, dy, dx in offsets]
                 if abs(r) > p.response_threshold and (

@@ -9,7 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import adjacency, brute_force_mis, min_energy_masks, random_conflict_graph
+from oracles import (
+    adjacency,
+    brute_force_mis,
+    min_energy_masks,
+    random_conflict_graph,
+    randrange,
+)
 from qimatch.conflict import MatchParams, build_conflict_graph, generate_candidates
 from qimatch.detector import DetectorParams, RasterImage, detect
 from qimatch.graph_model import geom_relation, wrap_angle
@@ -35,7 +41,7 @@ def bench_instances():
     rng = Xorshift64Star(20260824)
     instances = []
     for _ in range(100):
-        n = 5 + rng.randrange(16)
+        n = 5 + randrange(rng, 16)
         density = 0.1 + 0.8 * rng.uniform()
         gc = random_conflict_graph(rng, n, density)
         mis_size, mis_masks = brute_force_mis(gc.n, gc.edges)
@@ -193,7 +199,7 @@ def test_criterion_6_one_to_one():
 def test_criterion_7_format_round_trips():
     rng = Xorshift64Star(7)
     for _ in range(100):
-        n = 1 + rng.randrange(24)
+        n = 1 + randrange(rng, 24)
         terms = {}
         for i in range(n):
             for j in range(i, n):
@@ -201,7 +207,7 @@ def test_criterion_7_format_round_trips():
                 if u < 0.25:
                     terms[(i, j)] = rng.normal() * 5
                 elif u < 0.35:
-                    terms[(i, j)] = float(rng.randrange(21) - 10)
+                    terms[(i, j)] = float(randrange(rng, 21) - 10)
         q = QuboInstance(n=n, terms=terms)
         text = write_qubo(q)
         assert write_qubo(read_qubo(text)) == text
@@ -229,7 +235,7 @@ def test_criterion_8_detector_sanity():
     for k, (cx, cy) in enumerate(centers):
         sb = blob_sigmas[k % 3]
         img += np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sb * sb))
-    raster = RasterImage(size, size, np.clip(img, 0.0, 1.0))
+    raster = RasterImage(np.clip(img, 0.0, 1.0))
     params = DetectorParams(
         n_scales=9,
         sigma0=2.0,
@@ -247,6 +253,6 @@ def test_criterion_8_detector_sanity():
         ratio = near[0].scale / sb
         assert 1 / params.scale_step <= ratio <= params.scale_step
 
-    flat = RasterImage(size, size, np.full((size, size), 0.5))
+    flat = RasterImage(np.full((size, size), 0.5))
     assert detect(flat, params) == []
     print("\nPASS criterion 8: all 9 blobs localized within 1 px, scales within one step; flat image clean")

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qimatch import cli
-from qimatch.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, build_parser, main
+from qimatch import cli, pipeline
+from qimatch.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, build_parser, main
 from qimatch.conflict import MatchParams
 from qimatch.detector import DetectorParams
 from qimatch.qubo import read_qubo
@@ -95,26 +95,67 @@ def test_export_dot(tmp_path):
     assert dot.read_text().startswith("graph conflict {")
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert main(["match", "only-one-arg"]) == EXIT_USAGE
-    assert main(["--bogus"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: graph2, -o/--output\n"
+    )
+    # an unrecognised flag is named, even where a required argument is also missing
+    for argv in (["--bogus"], ["match", "a.json", "--bogus", "-o", "x"]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
 
 
 def test_parse_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.qubo"
-    bad.write_text("not a qubo file\n")
     out = tmp_path / "a.txt"
-    assert main(["solve", str(bad), "-o", str(out)]) == EXIT_PARSE
+    bad = tmp_path / "bad.qubo"
+    for text in (
+        "not a qubo file\n",
+        "p qubo 0 x 1 0\n0 0 -1\n",  # non-integer header field
+        "p qubo 1 1 1 0\n0 0 -1\n",  # third header field not 0
+        "p qubo 0 -1 0 0\n",  # negative count
+        "p qubo 0 1 1 0\n0 -1\n",  # term line without 3 fields
+    ):
+        bad.write_text(text)
+        assert main(["solve", str(bad), "-o", str(out)]) == EXIT_PARSE, text
 
+    point = {"x": 1.0, "y": 2.0, "scale": 1.0, "orientation": 0.0}
+    mixed = json.dumps({"points": [dict(point, descriptor=[1.0, 0.0]),
+                                   dict(point, x=5.0, descriptor=[0.0, 1.0, 0.0])]})
     badg = tmp_path / "bad.json"
-    for doc in ("{broken", '{"points": null}'):
+    for doc in ("{broken", '{"points": null}', mixed):
         badg.write_text(doc)
-        assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE
+        assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE, doc
 
     # every energy would be NaN, so the all-zero assignment would "win"
     inf = tmp_path / "inf.qubo"
     inf.write_text("p qubo 0 2 2 1\n0 0 -1\n1 1 -1\n0 1 inf\n")
     assert main(["solve", str(inf), "--solver", "exact", "-o", str(out)]) == EXIT_PARSE
+
+    pgm = tmp_path / "bad.pgm"
+    for text in (
+        b"P2\n3 3\n",  # end of file inside the header
+        b"P2\n3 x\n255\n",  # non-integer header field
+        b"P2\n0 3\n255\n",  # zero width
+        b"P2\n3 0\n255\n",  # zero height
+        b"P2\n3 3\n255\n0 1 2 3 x 5 6 7 8\n",  # non-integer pixel
+        b"P2\n3 3\n10\n0 1 2 3 11 5 6 7 8\n",  # pixel above maxval
+    ):
+        pgm.write_bytes(text)
+        assert main(["detect", str(pgm), "-o", str(out)]) == EXIT_PARSE, text
+
+
+def test_infeasible_exit_code(tmp_path, monkeypatch, capsys):
+    prefix = str(tmp_path / "pair")
+    main(["gen", "--inliers", "4", "--outliers", "1", "--seed", "3", "-o", prefix])
+    # a solver that selects every candidate; with --tfeat -1 all pairs are
+    # candidates, so some of them share a point and conflict
+    monkeypatch.setattr(pipeline, "solve_mis_bnb", lambda gc: (set(range(gc.n)), True))
+    out = tmp_path / "r.json"
+    rc = main(["match", f"{prefix}_1.json", f"{prefix}_2.json", "--tfeat", "-1", "-o", str(out)])
+    assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("infeasible solution:")
+    assert not out.exists()
 
 
 def test_detect_overflow_exit_code(tmp_path, capsys):
@@ -149,9 +190,19 @@ def test_non_finite_graph_exit_code(tmp_path):
 
 def test_gen_non_finite_exit_code(tmp_path, capsys):
     prefix = str(tmp_path / "pair")
-    for flags in (["--position-noise", "nan"], ["--rotation", "inf"], ["--tx", "nan"]):
-        assert main(["gen", "-o", prefix, *flags]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error:")
+    for flag, value, field in (
+        ("--position-noise", "nan", "position_noise"),
+        ("--rotation", "inf", "rotation"),
+        ("--tx", "nan", "translation"),
+        # finite, but overflowing a generated inlier
+        ("--position-noise", "1e308", "position_noise"),
+        ("--scale", "1e308", "scale"),
+        ("--descriptor-noise", "1e308", "descriptor_noise"),
+        ("--descriptor-noise", "1e154", "descriptor_noise"),  # finite entries, infinite norm
+    ):
+        assert main(["gen", "-o", prefix, flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1, err
     assert not Path(f"{prefix}_1.json").exists()
 
 

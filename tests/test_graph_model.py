@@ -11,7 +11,6 @@ from qimatch.graph_model import (
     GeomWeights,
     ImageGraph,
     InterestPoint,
-    d_feat,
     d_geom,
     geom_relation,
     wrap_angle,
@@ -163,34 +162,6 @@ class TestGeomRelation:
         assert wrap_angle(r1.bearing - r0.bearing) == pytest.approx(0.0, abs=1e-9)
         assert r1.log_scale_ratio == pytest.approx(r0.log_scale_ratio, abs=1e-9)
         assert wrap_angle(r1.d_orient - r0.d_orient) == pytest.approx(0.0, abs=1e-9)
-
-
-class TestDFeat:
-    def test_identical(self):
-        f = np.array([0.6, 0.8])
-        assert d_feat(f, f) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert d_feat(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_opposite(self):
-        f = np.array([0.6, 0.8])
-        assert d_feat(f, -f) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            d_feat(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-    @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3),
-           st.lists(st.floats(-1, 1), min_size=3, max_size=3))
-    def test_symmetric_and_bounded(self, u, v):
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu < 1e-6 or nv < 1e-6:
-            return
-        f1 = np.array(u) / nu
-        f2 = np.array(v) / nv
-        assert d_feat(f1, f2) == d_feat(f2, f1)
-        assert abs(d_feat(f1, f2)) <= 1 + 1e-12
 
 
 class TestDGeom:

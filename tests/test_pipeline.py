@@ -15,6 +15,7 @@ from qimatch.conflict import (
 from qimatch.errors import InfeasibleSolutionError
 from qimatch.graph_model import GeomWeights, ImageGraph, InterestPoint
 from qimatch.pipeline import (
+    SOLVER_NAMES,
     GraphFormatError,
     MatchResult,
     SyntheticSpec,
@@ -26,6 +27,7 @@ from qimatch.pipeline import (
     graph_to_json,
     match_images,
     match_result_to_json,
+    solve_qubo,
 )
 from qimatch.qubo import Assignment, mis_to_qubo
 from qimatch.rng import Xorshift64Star
@@ -117,6 +119,13 @@ class TestGenerateSynthetic:
         assert at == bt
         assert graph_to_json(a1) == graph_to_json(b1)
         assert graph_to_json(a2) == graph_to_json(b2)
+
+    def test_huge_values_without_inliers(self):
+        # only inliers are transformed and perturbed, so nothing overflows
+        g1, g2, _ = generate_synthetic(
+            SyntheticSpec(n_inliers=0, scale=1e308, position_noise=1e308, descriptor_noise=1e308)
+        )
+        assert len(g1) == len(g2) == 3
 
     def test_zero_noise_recovery(self):
         spec = SyntheticSpec(n_inliers=6, n_outliers_per_image=0, rotation=1.0,
@@ -211,6 +220,17 @@ class TestMatchImages:
         g = ImageGraph(points=(), id="e")
         with pytest.raises(ValueError):
             match_images(g, g, MatchParams(), solver="quantum")
+        with pytest.raises(ValueError, match="unknown QUBO solver"):
+            solve_qubo(mis_to_qubo(make_gc(2, [(0, 1)])), "bogus")
+
+    def test_graph_without_points(self):
+        empty = ImageGraph(points=(), id="e")
+        g, _, _ = generate_synthetic(SyntheticSpec(n_inliers=3, seed=2))
+        for g1, g2 in ((empty, empty), (empty, g), (g, empty)):
+            for solver in SOLVER_NAMES:
+                r = match_images(g1, g2, MatchParams(), solver=solver)
+                assert r.pairs == () and r.similarity == 0
+                assert r.proven_optimal == (solver != "sa")
 
 
 class TestGraphIO:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_mis, make_gc, min_energy_masks, random_conflict_graph
+from oracles import (
+    brute_force_mis,
+    make_gc,
+    min_energy_masks,
+    random_conflict_graph,
+    randrange,
+)
 from qimatch.qubo import (
     Assignment,
     QuboFormatError,
@@ -51,7 +57,7 @@ class TestMisToQubo:
     def test_exactness_on_random_graphs(self):
         rng = Xorshift64Star(2024)
         for _ in range(20):
-            n = 5 + rng.randrange(8)
+            n = 5 + randrange(rng, 8)
             gc = random_conflict_graph(rng, n, 0.2 + 0.6 * rng.uniform())
             q = mis_to_qubo(gc)
             emin, argmins = min_energy_masks(q.n, q.terms)
@@ -62,13 +68,13 @@ class TestMisToQubo:
     def test_penalty_sufficiency(self):
         rng = Xorshift64Star(55)
         for _ in range(20):
-            n = 6 + rng.randrange(8)
+            n = 6 + randrange(rng, 8)
             gc = random_conflict_graph(rng, n, 0.4)
             if not gc.edges:
                 continue
             q = mis_to_qubo(gc)
             # random assignment forced to contain one edge
-            u, v = sorted(gc.edges)[rng.randrange(len(gc.edges))]
+            u, v = sorted(gc.edges)[randrange(rng, len(gc.edges))]
             bits = [1 if rng.uniform() < 0.5 else 0 for _ in range(n)]
             bits[u] = bits[v] = 1
             e = energy(q, Assignment(tuple(bits)))

@@ -12,6 +12,7 @@ from oracles import (
     make_gc,
     max_degree_vertex,
     random_conflict_graph,
+    randrange,
 )
 from qimatch.qubo import Assignment, QuboInstance, energy, mis_to_qubo
 from qimatch.rng import Xorshift64Star, derive_seed
@@ -122,7 +123,7 @@ class TestSolveMisBnb:
         rng = Xorshift64Star(515)
         cases = []
         for _ in range(300):
-            n = 1 + rng.randrange(40)
+            n = 1 + randrange(rng, 40)
             gc = random_conflict_graph(rng, n, rng.uniform())
             cases += [(gc, rng.next_u64() & ((1 << n) - 1)) for _ in range(5)]
         # walked 0, 3, 1, 2: vertex 3 is reached before vertex 1, of the same degree
@@ -139,7 +140,7 @@ class TestLocalField:
     def test_matches_full_reevaluation(self):
         rng = Xorshift64Star(88)
         for _ in range(30):
-            n = 4 + rng.randrange(10)
+            n = 4 + randrange(rng, 10)
             terms = {
                 (i, j): rng.normal()
                 for i in range(n)
@@ -148,7 +149,7 @@ class TestLocalField:
             }
             q = QuboInstance(n=n, terms=terms)
             bits = [1 if rng.uniform() < 0.5 else 0 for _ in range(n)]
-            k = rng.randrange(n)
+            k = randrange(rng, n)
             x = Assignment(tuple(bits))
             flipped = list(bits)
             flipped[k] ^= 1
