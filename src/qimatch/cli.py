@@ -67,20 +67,25 @@ class _Parser(argparse.ArgumentParser):
             raise
 
 
+def _add_fields(sp, cls, *flags):
+    """Add one flag per (flag, field[, help]); its type and default are those
+    of the named field of cls."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    for flag, name, *text in flags:
+        default = defaults[name]
+        sp.add_argument(
+            flag, dest=name, type=type(default), default=default, help=text[0] if text else None
+        )
+
+
 def _add_match_flags(sp):
     sp.add_argument("graph1")
     sp.add_argument("graph2")
-    sp.add_argument(
-        "--tfeat", dest="t_feat", type=float, default=MatchParams.t_feat,
-        help="candidate admission threshold",
-    )
-    sp.add_argument(
-        "--tgeom", dest="t_geom", type=float, default=MatchParams.t_geom,
-        help="geometric conflict threshold",
-    )
-    sp.add_argument(
-        "--limit", dest="limit_l", type=int, default=MatchParams.limit_l,
-        help="conflict graph vertex cap",
+    _add_fields(
+        sp, MatchParams,
+        ("--tfeat", "t_feat", "candidate admission threshold"),
+        ("--tgeom", "t_geom", "geometric conflict threshold"),
+        ("--limit", "limit_l", "conflict graph vertex cap"),
     )
     sp.add_argument("-o", "--output", required=True)
 
@@ -150,40 +155,34 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("detect", help="detect interest points in a PGM image")
     sp.add_argument("image")
     sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--scales", dest="n_scales", type=int, default=DetectorParams.n_scales)
-    sp.add_argument("--sigma0", type=float, default=DetectorParams.sigma0)
-    sp.add_argument("--scale-step", type=float, default=DetectorParams.scale_step)
-    sp.add_argument(
-        "--threshold", dest="response_threshold", type=float,
-        default=DetectorParams.response_threshold,
-    )
-    sp.add_argument("--max-points", type=int, default=DetectorParams.max_points)
-    sp.add_argument(
-        "--bins", dest="descriptor_bins", type=int, default=DetectorParams.descriptor_bins
+    _add_fields(
+        sp, DetectorParams,
+        ("--scales", "n_scales"), ("--sigma0", "sigma0"), ("--scale-step", "scale_step"),
+        ("--threshold", "response_threshold"), ("--max-points", "max_points"),
+        ("--bins", "descriptor_bins"),
     )
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("gen", help="generate a synthetic graph pair with ground truth")
-    sp.add_argument("--inliers", dest="n_inliers", type=int, default=SyntheticSpec.n_inliers)
-    sp.add_argument(
-        "--outliers", dest="n_outliers_per_image", type=int,
-        default=SyntheticSpec.n_outliers_per_image,
+    _add_fields(
+        sp, SyntheticSpec,
+        ("--inliers", "n_inliers"), ("--outliers", "n_outliers_per_image"), ("--seed", "seed"),
+        ("--rotation", "rotation"), ("--scale", "scale"),
     )
-    sp.add_argument("--seed", type=int, default=SyntheticSpec.seed)
-    sp.add_argument("--rotation", type=float, default=SyntheticSpec.rotation)
-    sp.add_argument("--scale", type=float, default=SyntheticSpec.scale)
     sp.add_argument("--tx", type=float, default=SyntheticSpec.translation[0])
     sp.add_argument("--ty", type=float, default=SyntheticSpec.translation[1])
-    sp.add_argument("--position-noise", type=float, default=SyntheticSpec.position_noise)
-    sp.add_argument("--descriptor-noise", type=float, default=SyntheticSpec.descriptor_noise)
-    sp.add_argument("--dim", dest="descriptor_dim", type=int, default=SyntheticSpec.descriptor_dim)
+    _add_fields(
+        sp, SyntheticSpec,
+        ("--position-noise", "position_noise"), ("--descriptor-noise", "descriptor_noise"),
+        ("--dim", "descriptor_dim"),
+    )
     sp.add_argument("-o", "--output", required=True, help="output file prefix")
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("match", help="match two graph files")
     _add_match_flags(sp)
     sp.add_argument("--solver", choices=SOLVER_NAMES, default="bnb")
-    sp.add_argument("--seed", type=int, default=AnnealSchedule.seed, help="annealing seed")
+    _add_fields(sp, AnnealSchedule, ("--seed", "seed", "annealing seed"))
     sp.set_defaults(func=cmd_match)
 
     sp = sub.add_parser("export-qubo", help="write the QUBO instance for a graph pair")
@@ -193,7 +192,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="solve a QUBO file")
     sp.add_argument("qubo")
     sp.add_argument("--solver", choices=QUBO_SOLVERS, default="exact")
-    sp.add_argument("--seed", type=int, default=AnnealSchedule.seed)
+    _add_fields(sp, AnnealSchedule, ("--seed", "seed"))
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(func=cmd_solve)
 

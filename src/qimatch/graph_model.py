@@ -64,7 +64,11 @@ class InterestPoint:
         desc = np.asarray(self.descriptor, dtype=float)
         if desc.ndim != 1 or desc.size == 0:
             raise ValueError("descriptor must be a non-empty 1-d vector")
-        norm = float(np.linalg.norm(desc))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(desc))
+        if math.isinf(norm) and np.isfinite(desc).all():  # finite entries, the sum overflows
+            desc = desc / np.abs(desc).max()
+            norm = float(np.linalg.norm(desc))
         if not math.isfinite(norm):  # any NaN or infinite entry lands here
             raise ValueError(f"descriptor norm is {norm}; entries must be finite")
         if norm == 0.0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -246,41 +246,28 @@ def match_images(
 
 
 def graph_to_json(g: ImageGraph) -> str:
-    obj = {
-        "id": g.id,
-        "points": [
-            {
-                "x": p.x,
-                "y": p.y,
-                "scale": p.scale,
-                "orientation": p.orientation,
-                "descriptor": [float(v) for v in p.descriptor],
-            }
-            for p in g.points
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """One record per point, keyed by InterestPoint's fields in declaration order."""
+    names = [f.name for f in fields(InterestPoint)]
+    points = [
+        {name: getattr(p, name) for name in names} | {"descriptor": p.descriptor.tolist()}
+        for p in g.points
+    ]
+    return json.dumps({"id": g.id, "points": points}, indent=2) + "\n"
 
 
 def graph_from_json(text: str) -> ImageGraph:
+    """Inverse of graph_to_json; keys that name no InterestPoint field are ignored."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
         raise GraphFormatError("graph document must be an object with a 'points' list")
+    names = [f.name for f in fields(InterestPoint)]
     points = []
     for k, rec in enumerate(obj["points"]):
         try:
-            points.append(
-                InterestPoint(
-                    x=float(rec["x"]),
-                    y=float(rec["y"]),
-                    scale=float(rec["scale"]),
-                    orientation=float(rec["orientation"]),
-                    descriptor=np.array(rec["descriptor"], dtype=float),
-                )
-            )
+            points.append(InterestPoint(**{name: rec[name] for name in names}))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad point record #{k}: {exc}") from None
     try:
@@ -314,7 +301,7 @@ def conflict_graph_to_dot(gc: ConflictGraph) -> str:
     lines = ["graph conflict {"]
     for k, c in enumerate(gc.vertices):
         lines.append(f'  v{k} [label="{c.i}:{c.alpha} d={c.d:.4f}"];')
-    for u, v in sorted(gc.edges):
-        lines.append(f"  v{u} -- v{v};")
+    u, v = np.nonzero(np.triu(gc.adjacency, 1))  # row-major: ascending (u, v)
+    lines += [f"  v{a} -- v{b};" for a, b in zip(u.tolist(), v.tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -91,37 +91,38 @@ def _format_value(v: float) -> str:
 def write_qubo(q: QuboInstance) -> str:
     """Serialize to qbsolv-style text: 'p qubo 0 maxNodes nNodes nCouplers',
     then sorted diagonal lines 'i i value' and coupler lines 'i j value'."""
-    diag = sorted((i, v) for (i, j), v in q.terms.items() if i == j)
-    coup = sorted(((i, j), v) for (i, j), v in q.terms.items() if i != j)
-    lines = [f"p qubo 0 {q.n} {len(diag)} {len(coup)}"]
-    lines += [f"{i} {i} {_format_value(v)}" for i, v in diag]
-    lines += [f"{i} {j} {_format_value(v)}" for (i, j), v in coup]
+    terms = sorted(q.terms.items(), key=lambda term: (term[0][0] < term[0][1], term[0]))
+    n_diag = sum(i == j for i, j in q.terms)
+    lines = [f"p qubo 0 {q.n} {n_diag} {len(terms) - n_diag}"]
+    lines += [f"{i} {j} {_format_value(v)}" for (i, j), v in terms]
     return "\n".join(lines) + "\n"
 
 
 def read_qubo(text: str) -> QuboInstance:
     """Parse the text format written by write_qubo; 'c' lines are comments."""
-    n = None
-    n_nodes = n_couplers = 0
-    seen_diag = seen_coup = 0
+    numbered = enumerate(text.splitlines(), start=1)
+    for lineno, raw in numbered:  # the first line that is not blank or a comment
+        fields = raw.split()
+        if fields and not fields[0].startswith("c"):
+            break
+    else:
+        raise QuboFormatError("missing 'p qubo' header")
+    if len(fields) != 6 or fields[0] != "p" or fields[1] != "qubo":
+        raise QuboFormatError(f"line {lineno}: expected 'p qubo 0 ...' header")
+    try:
+        zero, n, n_nodes, n_couplers = (int(f) for f in fields[2:])
+    except ValueError:
+        raise QuboFormatError(f"line {lineno}: non-integer header field") from None
+    if zero != 0:
+        raise QuboFormatError(f"line {lineno}: header must read 'p qubo 0 ...'")
+    if n < 0 or n_nodes < 0 or n_couplers < 0:
+        raise QuboFormatError(f"line {lineno}: negative header count")
     terms: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered:  # the lines after the header
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
-        if n is None:
-            if len(fields) != 6 or fields[0] != "p" or fields[1] != "qubo":
-                raise QuboFormatError(f"line {lineno}: expected 'p qubo 0 ...' header")
-            try:
-                zero, n, n_nodes, n_couplers = (int(f) for f in fields[2:])
-            except ValueError:
-                raise QuboFormatError(f"line {lineno}: non-integer header field") from None
-            if zero != 0:
-                raise QuboFormatError(f"line {lineno}: header must read 'p qubo 0 ...'")
-            if n < 0 or n_nodes < 0 or n_couplers < 0:
-                raise QuboFormatError(f"line {lineno}: negative header count")
-            continue
         if len(fields) != 3:
             raise QuboFormatError(f"line {lineno}: expected 'i j value'")
         try:
@@ -136,15 +137,10 @@ def read_qubo(text: str) -> QuboInstance:
         if (i, j) in terms:
             raise QuboFormatError(f"line {lineno}: duplicate pair ({i}, {j})")
         terms[(i, j)] = v
-        if i == j:
-            seen_diag += 1
-        else:
-            seen_coup += 1
-    if n is None:
-        raise QuboFormatError("missing 'p qubo' header")
-    if seen_diag != n_nodes or seen_coup != n_couplers:
+    n_diag = sum(i == j for i, j in terms)
+    if n_diag != n_nodes or len(terms) - n_diag != n_couplers:
         raise QuboFormatError(
             f"header announced {n_nodes} nodes / {n_couplers} couplers, "
-            f"found {seen_diag} / {seen_coup}"
+            f"found {n_diag} / {len(terms) - n_diag}"
         )
     return QuboInstance(n=n, terms=terms)

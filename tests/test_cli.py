@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,30 @@ BARE = {
     "solve": ["solve", "inst.qubo", "-o", "out"],
 }
 
+# every flag of each command, set away from its default
+FLAGS = {
+    "detect": ["--scales", "5", "--sigma0", "1.5", "--scale-step", "1.3",
+               "--threshold", "0.05", "--max-points", "7", "--bins", "8"],
+    "gen": ["--inliers", "5", "--outliers", "2", "--seed", "9", "--rotation", "0.3",
+            "--scale", "1.1", "--tx", "2", "--ty", "-3", "--position-noise", "0.5",
+            "--descriptor-noise", "0.1", "--dim", "8"],
+    "match": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40",
+              "--solver", "sa", "--seed", "7"],
+    "export-qubo": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40"],
+    "export-dot": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40"],
+    "solve": ["--solver", "sa", "--seed", "7"],
+}
+
+# the settings dataclasses whose fields each command's flags set
+SETTINGS = {
+    "detect": (DetectorParams,),
+    "gen": (SyntheticSpec,),
+    "match": (MatchParams, AnnealSchedule),
+    "export-qubo": (MatchParams,),
+    "export-dot": (MatchParams,),
+    "solve": (AnnealSchedule,),
+}
+
 
 def test_parser_defaults_are_dataclass_defaults(monkeypatch, tmp_path):
     def call(command):
@@ -261,27 +286,15 @@ def test_every_flag_reaches_its_field(monkeypatch, tmp_path):
                          descriptor_dim=8, seed=9)
     match = MatchParams(t_feat=0.5, t_geom=-0.25, limit_l=40)
     schedule = AnnealSchedule(seed=7)
-    flags = {
-        "detect": ["--scales", "5", "--sigma0", "1.5", "--scale-step", "1.3",
-                   "--threshold", "0.05", "--max-points", "7", "--bins", "8"],
-        "gen": ["--inliers", "5", "--outliers", "2", "--seed", "9", "--rotation", "0.3",
-                "--scale", "1.1", "--tx", "2", "--ty", "-3", "--position-noise", "0.5",
-                "--descriptor-noise", "0.1", "--dim", "8"],
-        "match": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40",
-                  "--solver", "sa", "--seed", "7"],
-        "export-qubo": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40"],
-        "export-dot": ["--tfeat", "0.5", "--tgeom", "-0.25", "--limit", "40"],
-        "solve": ["--solver", "sa", "--seed", "7"],
-    }
     parse = build_parser().parse_args
     for command, bare in BARE.items():
         # every flag of the command is set away from its default
-        full, base = vars(parse(bare + flags[command])), vars(parse(bare))
+        full, base = vars(parse(bare + FLAGS[command])), vars(parse(bare))
         unset = {k for k, v in full.items() if v == base[k]}
         assert unset <= {"command", "func", "image", "graph1", "graph2", "qubo", "output"}
 
     def call(command):
-        return _library_call(monkeypatch, tmp_path, BARE[command] + flags[command])
+        return _library_call(monkeypatch, tmp_path, BARE[command] + FLAGS[command])
 
     assert call("detect") == (("read_pgm", detector), {})
     assert call("gen") == ((spec,), {})
@@ -291,6 +304,21 @@ def test_every_flag_reaches_its_field(monkeypatch, tmp_path):
     assert call("export-qubo") == (("read_graph", "read_graph", match), {})
     assert call("export-dot") == (("read_graph", "read_graph", match), {})
     assert call("solve") == (("read_qubo", "sa", schedule), {})
+
+
+def test_flags_parse_to_their_field_types(capsys):
+    parse = build_parser().parse_args
+    for command, bare in BARE.items():
+        args = vars(parse(bare + FLAGS[command]))
+        defaults = {f.name: f.default for cls in SETTINGS[command] for f in fields(cls)}
+        types = {k: type(v) for k, v in args.items() if k in defaults}
+        assert types and types == {k: type(defaults[k]) for k in types}, command
+    # == alone would let 5.0 pass for 5
+    n_scales = parse(BARE["detect"] + ["--scales", "5"]).n_scales
+    assert type(n_scales) is int and n_scales == 5
+    assert type(parse(BARE["detect"] + ["--sigma0", "2"]).sigma0) is float
+    assert main(BARE["match"] + ["--limit", "3.5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: argument --limit: invalid int value: '3.5'\n"
 
 
 def test_demo_script_runs():

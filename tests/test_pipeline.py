@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -256,6 +257,33 @@ class TestGraphIO:
     def test_bad_point_record(self):
         with pytest.raises(GraphFormatError, match="#0"):
             graph_from_json('{"id": "x", "points": [{"x": 1}]}')
+        ok = '{"x": 1, "y": 2, "scale": 1, "orientation": 0, "descriptor": [1, 0]}'
+        no_scale = '{"x": 1, "y": 2, "orientation": 0, "descriptor": [1, 0]}'
+        with pytest.raises(GraphFormatError, match=r"^bad point record #1: 'scale'$"):
+            graph_from_json(f'{{"points": [{ok}, {no_scale}]}}')
+
+    def test_extra_keys_ignored(self):
+        doc = {"points": [{"x": 1, "y": 2, "scale": 1, "orientation": 0,
+                           "descriptor": [0.6, 0.8], "note": "not a field"}]}
+        (p,) = graph_from_json(json.dumps(doc)).points
+        assert (p.x, p.y, p.scale, p.orientation) == (1.0, 2.0, 1.0, 0.0)
+        assert p.descriptor.tolist() == [0.6, 0.8]
+
+    @staticmethod
+    def _descriptor(values):
+        doc = {"points": [{"x": 1, "y": 2, "scale": 1, "orientation": 0, "descriptor": values}]}
+        return graph_from_json(json.dumps(doc)).points[0].descriptor
+
+    def test_descriptor_norm_overflow(self):
+        # finite entries whose norm overflows load as their unit vector
+        assert self._descriptor([1e200, 1e200]).tolist() == self._descriptor([1, 1]).tolist()
+        assert self._descriptor([-1e308, 0, 1e308]).tolist() == self._descriptor([-1, 0, 1]).tolist()
+        # a finite norm keeps its bits, however large
+        d = np.array([1e150, -3e150, 2e149])
+        assert self._descriptor(d.tolist()).tolist() == (d / np.linalg.norm(d)).tolist()
+        for values in ([math.inf, 1], [1e308, -math.inf], [math.nan, 1e308]):
+            with pytest.raises(GraphFormatError, match="entries must be finite"):
+                self._descriptor(values)
 
     def test_zero_descriptor_rejected(self):
         doc = '{"id": "x", "points": [{"x": 1, "y": 2, "scale": 1, "orientation": 0, "descriptor": [0, 0]}]}'
@@ -265,12 +293,20 @@ class TestGraphIO:
 
 class TestExports:
     def test_dot_output(self):
-        gc = make_gc(3, [(0, 1)])
-        dot = conflict_graph_to_dot(gc)
-        assert dot.startswith("graph conflict {")
-        assert 'v0 [label="0:0 d=1.0000"];' in dot
-        assert "v0 -- v1;" in dot
-        assert dot.rstrip().endswith("}")
+        # edges given out of order are written in ascending (u, v) order
+        gc = make_gc(4, [(2, 3), (0, 2), (1, 3), (0, 1)])
+        assert conflict_graph_to_dot(gc) == (
+            "graph conflict {\n"
+            '  v0 [label="0:0 d=1.0000"];\n'
+            '  v1 [label="1:1 d=1.0000"];\n'
+            '  v2 [label="2:2 d=1.0000"];\n'
+            '  v3 [label="3:3 d=1.0000"];\n'
+            "  v0 -- v1;\n"
+            "  v0 -- v2;\n"
+            "  v1 -- v3;\n"
+            "  v2 -- v3;\n"
+            "}\n"
+        )
 
     def test_match_result_json(self):
         r = MatchResult(
@@ -280,8 +316,6 @@ class TestExports:
             params=MatchParams(),
             feature_similarity_sum=1.8,
         )
-        import json
-
         obj = json.loads(match_result_to_json(r))
         assert obj["pairs"] == [[1, 2], [3, 0]]
         assert obj["similarity"] == 2

@@ -175,6 +175,25 @@ class TestFormat:
         assert q2.n == q.n and q2.terms == q.terms
         assert write_qubo(q2) == text  # byte fixpoint
 
+    def test_write_ignores_insertion_order(self):
+        q = QuboInstance(n=3, terms={(1, 2): 3.0, (2, 2): 1.0, (0, 1): -0.5, (0, 0): -1.0})
+        assert write_qubo(q) == "p qubo 0 3 2 2\n0 0 -1\n2 2 1\n0 1 -0.5\n1 2 3\n"
+        rng = Xorshift64Star(11)
+        n = 20
+        ordered = {
+            (i, j): rng.normal() * 10
+            for i in range(n) for j in range(i, n) if rng.uniform() < 0.3
+        }
+        couplers = [k for k in ordered if k[0] != k[1]]
+        diagonal = [k for k in ordered if k[0] == k[1]]
+        for keys in (couplers, diagonal):  # Fisher-Yates
+            for a in range(len(keys) - 1, 0, -1):
+                b = randrange(rng, a + 1)
+                keys[a], keys[b] = keys[b], keys[a]
+        shuffled = QuboInstance(n=n, terms={k: ordered[k] for k in couplers + diagonal})
+        assert list(shuffled.terms) != sorted(shuffled.terms)
+        assert write_qubo(shuffled) == write_qubo(QuboInstance(n=n, terms=ordered))
+
     def test_bad_header(self):
         with pytest.raises(QuboFormatError, match="line 1"):
             read_qubo("q hello\n")
