@@ -22,6 +22,9 @@ TWO_PI = 2.0 * math.pi
 # serialized graphs round-trip exactly.
 _UNIT_NORM_TOL = 1e-12
 
+# The smallest norm whose squared entries sum without losing bits to underflow.
+_MIN_NORM = math.sqrt(np.finfo(float).tiny)
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into [-pi, pi).  Idempotent: in-range values pass through."""
@@ -64,19 +67,20 @@ class InterestPoint:
         desc = np.asarray(self.descriptor, dtype=float)
         if desc.ndim != 1 or desc.size == 0:
             raise ValueError("descriptor must be a non-empty 1-d vector")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             norm = float(np.linalg.norm(desc))
-        if math.isinf(norm) and np.isfinite(desc).all():  # finite entries, the sum overflows
-            desc = desc / np.abs(desc).max()
-            norm = float(np.linalg.norm(desc))
-        if not math.isfinite(norm):  # any NaN or infinite entry lands here
-            raise ValueError(f"descriptor norm is {norm}; entries must be finite")
-        if norm == 0.0:
-            raise ValueError("zero-norm descriptor rejected (broken detector?)")
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            desc = desc / norm
-        else:
-            desc = desc.copy()
+            if not _MIN_NORM <= norm < math.inf and np.isfinite(desc).all() and desc.any():
+                # finite, nonzero entries whose squares over- or underflow the sum
+                desc = desc / np.abs(desc).max()
+                norm = float(np.linalg.norm(desc))
+            if not math.isfinite(norm):  # any NaN or infinite entry lands here
+                raise ValueError(f"descriptor norm is {norm}; entries must be finite")
+            if norm == 0.0:
+                raise ValueError("zero-norm descriptor rejected (broken detector?)")
+            if abs(norm - 1.0) > _UNIT_NORM_TOL:
+                desc = desc / norm
+            else:
+                desc = desc.copy()
         desc.setflags(write=False)
         object.__setattr__(self, "descriptor", desc)
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))

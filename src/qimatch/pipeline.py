@@ -12,7 +12,7 @@ import numpy as np
 
 from .conflict import ConflictGraph, MatchParams, build_conflict_graph, generate_candidates
 from .errors import InfeasibleSolutionError, ParseError
-from .graph_model import ImageGraph, InterestPoint, wrap_angle
+from .graph_model import ImageGraph, InterestPoint
 from .qubo import Assignment, QuboInstance, mis_to_qubo
 from .rng import Xorshift64Star
 from .solvers import AnnealSchedule, SolveResult, solve_exact, solve_mis_bnb, solve_sa
@@ -141,7 +141,7 @@ def apply_similarity(
             x=scale * (cos_r * p.x - sin_r * p.y) + tx,
             y=scale * (sin_r * p.x + cos_r * p.y) + ty,
             scale=scale * p.scale,
-            orientation=wrap_angle(p.orientation + rotation),
+            orientation=p.orientation + rotation,
             descriptor=p.descriptor,
         )
         for p in g.points
@@ -187,14 +187,13 @@ def generate_synthetic(
             y += spec.position_noise * rng.normal()
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise overflow(f"position_noise {spec.position_noise}")
-        if spec.descriptor_noise > 0:
-            with np.errstate(over="ignore"):
-                desc = desc + spec.descriptor_noise * np.array(
-                    [rng.normal() for _ in range(spec.descriptor_dim)]
-                )
-                if not math.isfinite(np.linalg.norm(desc)):
-                    raise overflow(f"descriptor_noise {spec.descriptor_noise}")
-        inliers2.append(replace(p, x=x, y=y, descriptor=desc))
+        if spec.descriptor_noise > 0:  # Python floats overflow to inf without a warning
+            noise = [spec.descriptor_noise * rng.normal() for _ in range(spec.descriptor_dim)]
+            desc = desc + noise
+        try:
+            inliers2.append(replace(p, x=x, y=y, descriptor=desc))
+        except ValueError:  # InterestPoint rejects a descriptor with non-finite entries
+            raise overflow(f"descriptor_noise {spec.descriptor_noise}") from None
     outliers1 = [random_point() for _ in range(spec.n_outliers_per_image)]
     outliers2 = [random_point() for _ in range(spec.n_outliers_per_image)]
     g1 = ImageGraph(points=tuple(inliers1 + outliers1), id=f"synthetic-{spec.seed}-1")
@@ -268,7 +267,7 @@ def graph_from_json(text: str) -> ImageGraph:
     for k, rec in enumerate(obj["points"]):
         try:
             points.append(InterestPoint(**{name: rec[name] for name in names}))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"bad point record #{k}: {exc}") from None
     try:
         return ImageGraph(points=tuple(points), id=str(obj.get("id", "")))

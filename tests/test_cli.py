@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,12 +200,32 @@ def test_gen_non_finite_exit_code(tmp_path, capsys):
         ("--position-noise", "1e308", "position_noise"),
         ("--scale", "1e308", "scale"),
         ("--descriptor-noise", "1e308", "descriptor_noise"),
-        ("--descriptor-noise", "1e154", "descriptor_noise"),  # finite entries, infinite norm
     ):
         assert main(["gen", "-o", prefix, flag, value]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ") and err.count("\n") == 1, err
     assert not Path(f"{prefix}_1.json").exists()
+    # finite noisy entries whose norm overflows load as their unit vector
+    assert main(["gen", "-o", prefix, "--descriptor-noise", "1e154"]) == EXIT_OK
+    for side in (1, 2):
+        for rec in json.loads(Path(f"{prefix}_{side}.json").read_text())["points"]:
+            assert math.hypot(*rec["descriptor"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_huge_integer_in_graph_exit_code(tmp_path, capsys):
+    prefix = str(tmp_path / "pair")
+    main(["gen", "--inliers", "4", "--outliers", "1", "--seed", "3", "-o", prefix])
+    doc = Path(f"{prefix}_1.json").read_text()
+    huge = tmp_path / "huge.json"
+    out = tmp_path / "r.json"
+    for field, value in (("x", 10**400), ("descriptor", [1, -(10**400)])):
+        bad = json.loads(doc)
+        bad["points"][2][field] = value  # a 400-digit integer, too large for a float
+        huge.write_text(json.dumps(bad))
+        assert main(["match", str(huge), f"{prefix}_2.json", "-o", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "parse error: bad point record #2: int too large to convert to float\n", err
+    assert not out.exists()
 
 
 class _Reached(Exception):

@@ -80,6 +80,34 @@ class TestInterestPoint:
         assert p.descriptor.tolist() == d.tolist()
 
     @given(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.builds(  # magnitudes spread evenly over 1e-300 to 1e300
+                    lambda sign, m, e: sign * m * 10.0**e,
+                    st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-300, 299),
+                ),
+            ),
+            min_size=1,
+            max_size=128,
+        ).filter(any)
+    )
+    def test_finite_nonzero_descriptor_loads_as_unit_vector(self, values):
+        with np.errstate(all="raise"):
+            p = pt(0, 0, desc=values)
+            again = pt(0, 0, desc=p.descriptor)
+        assert abs(math.hypot(*p.descriptor) - 1.0) <= 1e-12
+        assert again.descriptor.tobytes() == p.descriptor.tobytes()
+
+    def test_descriptor_norm_out_of_float_range(self):
+        unit = pt(0, 0, desc=(1.0, 1.0)).descriptor.tobytes()
+        for values in ((1e-170, 1e-170), (1e-160, 1e-160), (1e200, 1e200)):
+            assert pt(0, 0, desc=values).descriptor.tobytes() == unit
+        # a norm of at least sqrt(float min) is divided out as it is
+        d = np.array([1.2e-154, -1e-154])
+        assert pt(0, 0, desc=d).descriptor.tolist() == (d / np.linalg.norm(d)).tolist()
+
+    @given(
         st.sampled_from(["x", "y", "scale", "orientation", "descriptor"]),
         st.sampled_from([math.nan, math.inf, -math.inf]),
         st.integers(0, 2),

@@ -285,6 +285,12 @@ class TestGraphIO:
             with pytest.raises(GraphFormatError, match="entries must be finite"):
                 self._descriptor(values)
 
+    def test_descriptor_norm_out_of_float_range_round_trips(self):
+        for values in ([1e-170, 1e-170], [1e-160, 1e-160], [1e200, 1e200]):
+            doc = {"points": [{"x": 1, "y": 2, "scale": 1, "orientation": 0, "descriptor": values}]}
+            text = graph_to_json(graph_from_json(json.dumps(doc)))
+            assert graph_to_json(graph_from_json(text)) == text
+
     def test_zero_descriptor_rejected(self):
         doc = '{"id": "x", "points": [{"x": 1, "y": 2, "scale": 1, "orientation": 0, "descriptor": [0, 0]}]}'
         with pytest.raises(GraphFormatError):
