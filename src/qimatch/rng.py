@@ -52,6 +52,20 @@ class Xorshift64Star:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
+    def uniforms(self, count: int) -> list[float]:
+        """The next count uniform() draws, in one call: the same xorshift64*
+        steps in a local loop, leaving the same state."""
+        s = self._state
+        out = []
+        append = out.append
+        for _ in range(count):
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK64
+            s ^= s >> 27
+            append((((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (1.0 / (1 << 53)))
+        self._state = s
+        return out
+
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
 

@@ -172,21 +172,26 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
     best_bits = [0] * n
     best_e = 0.0
     for r in range(s.restarts):
-        rng = Xorshift64Star(derive_seed(s.seed, r))
-        uniform = rng.uniform
+        uniforms = Xorshift64Star(derive_seed(s.seed, r)).uniforms
         x = [0] * n
         h = diag.copy()
         e = 0.0
         for beta in betas:
-            for k in range(n):
-                d_e = h[k] if x[k] == 0 else -h[k]
-                u = uniform()
+            # one draw per step, taken whether or not the step needs it
+            for k, u in enumerate(uniforms(n)):
+                on = x[k]
+                d_e = -h[k] if on else h[k]
                 if d_e <= 0.0 or u < exp(-beta * d_e):
-                    sign = 1 - 2 * x[k]  # +1 turning on, -1 turning off
-                    x[k] ^= 1
+                    x[k] = 1 - on
                     e += d_e
-                    for j, v in neighbors[k]:
-                        h[j] += sign * v
+                    # add or subtract rather than multiply by a sign: IEEE
+                    # negation is exact, so the fields come out the same
+                    if on:
+                        for j, v in neighbors[k]:
+                            h[j] -= v
+                    else:
+                        for j, v in neighbors[k]:
+                            h[j] += v
                     if e < best_e:
                         best_e = e
                         best_bits = x.copy()

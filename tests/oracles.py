@@ -7,14 +7,17 @@ straight from the edge list and the QUBO terms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qimatch.conflict import ConflictGraph, MatchCandidate, MatchParams
 from qimatch.detector import DetectorParams, RasterImage, log_response
 from qimatch.errors import DegenerateGeometryError
 from qimatch.graph_model import ImageGraph, d_geom, geom_relation
-from qimatch.qubo import Assignment, QuboInstance
-from qimatch.rng import Xorshift64Star
+from qimatch.qubo import Assignment, QuboInstance, energy
+from qimatch.rng import Xorshift64Star, derive_seed
+from qimatch.solvers import AnnealSchedule, SolveResult, SolveStats
 
 
 def randrange(rng: Xorshift64Star, n: int) -> int:
@@ -198,6 +201,50 @@ def min_energy_masks(n: int, terms) -> tuple[float, set[int]]:
     e = enumerate_energies(n, terms)
     emin = float(e.min())
     return emin, set(int(m) for m in np.nonzero(e == emin)[0])
+
+
+def reference_sa(q: QuboInstance, s: AnnealSchedule) -> SolveResult:
+    """solve_sa's annealing one Metropolis step at a time: a uniform() call
+    per step, each coupling multiplied by the sign of the flip, and the steps
+    counted as the loop takes them."""
+    n = q.n
+    diag = [0.0] * n
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (i, j), v in q.terms.items():
+        if i == j:
+            diag[i] = v
+        else:
+            neighbors[i].append((j, v))
+            neighbors[j].append((i, v))
+    best_bits = [0] * n
+    best_e = 0.0
+    steps = 0
+    for r in range(s.restarts):
+        rng = Xorshift64Star(derive_seed(s.seed, r))
+        x = [0] * n
+        h = diag.copy()
+        e = 0.0
+        for beta in s.betas():
+            for k in range(n):
+                steps += 1
+                d_e = h[k] if x[k] == 0 else -h[k]
+                u = rng.uniform()
+                if d_e <= 0.0 or u < math.exp(-beta * d_e):
+                    sign = 1 - 2 * x[k]  # +1 turning on, -1 turning off
+                    x[k] ^= 1
+                    e += d_e
+                    for j, v in neighbors[k]:
+                        h[j] += sign * v
+                    if e < best_e:
+                        best_e = e
+                        best_bits = x.copy()
+    best = Assignment(bits=tuple(best_bits))
+    return SolveResult(
+        best=best,
+        best_energy=energy(q, best),
+        proven_optimal=False,
+        stats=SolveStats(evaluations=steps),
+    )
 
 
 def pgm_tokens(data: bytes):

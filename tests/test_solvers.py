@@ -3,6 +3,8 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     adjacency,
@@ -13,6 +15,7 @@ from oracles import (
     max_degree_vertex,
     random_conflict_graph,
     randrange,
+    reference_sa,
 )
 from qimatch.qubo import Assignment, QuboInstance, energy, mis_to_qubo
 from qimatch.rng import Xorshift64Star, derive_seed
@@ -44,6 +47,13 @@ class TestRng:
 
     def test_zero_seed_ok(self):
         assert Xorshift64Star(0).next_u64() != 0
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 300])
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    def test_uniforms_are_uniform_calls(self, seed, count):
+        batch, single = Xorshift64Star(seed), Xorshift64Star(seed)
+        assert batch.uniforms(count) == [single.uniform() for _ in range(count)]
+        assert batch.uniform() == single.uniform()  # the same state after
 
 
 class TestSolveExact:
@@ -200,6 +210,44 @@ class TestSolveSa:
             if sa.best_energy == exact.best_energy:
                 hits += 1
         assert hits >= 9
+
+
+@st.composite
+def anneal_cases(draw):
+    """A QUBO of 1-30 variables and a schedule to anneal it with.  Terms are
+    real, small integers (ties and zero fields), or an MIS encoding."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.floats(0.0, 1.0))
+    rng = Xorshift64Star(draw(st.integers(0, 2**64 - 1)))
+    kind = draw(st.sampled_from(["real", "integer", "mis"]))
+    if kind == "mis":
+        q = mis_to_qubo(random_conflict_graph(rng, n, density))
+    else:
+        draw_term = rng.normal if kind == "real" else lambda: float(randrange(rng, 7) - 3)
+        terms = {
+            (i, j): draw_term()
+            for i in range(n)
+            for j in range(i, n)
+            if rng.uniform() < density
+        }
+        q = QuboInstance(n=n, terms=terms)
+    beta_initial = draw(st.floats(0.01, 5.0))
+    s = AnnealSchedule(
+        sweeps=draw(st.integers(1, 40)),
+        beta_initial=beta_initial,
+        beta_final=beta_initial * draw(st.floats(1.0, 1000.0)),
+        restarts=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return q, s
+
+
+class TestSaKernel:
+    @given(anneal_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_same_result_as_one_step_at_a_time(self, case):
+        q, s = case
+        assert solve_sa(q, s) == reference_sa(q, s)
 
 
 class TestAnnealSchedule:
