@@ -30,12 +30,17 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Geometric inverse-temperature ramp, repeated over independent restarts."""
+    """Geometric inverse-temperature ramp, repeated over independent restarts.
 
-    sweeps: int = 1000
+    The default sweeps and restarts are sized by time to solution with
+    scripts/sa_schedule_tts.py: the fewest sweeps in total whose predicted
+    chance of missing the optimum is at most 1e-4 on every shape measured.
+    """
+
+    sweeps: int = 25
     beta_initial: float = 0.1
     beta_final: float = 10.0
-    restarts: int = 16
+    restarts: int = 34
     seed: int = 0
 
     def __post_init__(self):
