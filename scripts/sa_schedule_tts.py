@@ -87,6 +87,8 @@ SHAPES = {
 
 
 def tts99(run_s: float, p: float) -> float:
+    """Time of one run times the runs that reach the optimum with 99%
+    confidence, at least one."""
     if p == 0.0:
         return math.inf
     if p == 1.0:
@@ -154,21 +156,21 @@ def main() -> None:
 
     print(f"\n| sweeps | 95% low of the worst p, every shape | restarts for <= {FAILURE_TARGET:g} | total sweeps |")
     print("|---|---|---|---|")
-    total = {}
+    restarts = {}
     for s in sweeps:
         low = wilson_low(min(rows[s][1] for rows in table.values()), seeds)
-        total[s] = s * restarts_for(low)
-        print(f"| {s} | {low:.3f} | {restarts_for(low)} | {total[s]} |")
-    chosen = min(sweeps, key=lambda s: (total[s], -s))
-    if math.isinf(total[chosen]):
+        restarts[s] = restarts_for(low)
+        print(f"| {s} | {low:.3f} | {restarts[s]} | {s * restarts[s]} |")
+    chosen = min(sweeps, key=lambda s: (s * restarts[s], -s))
+    if math.isinf(restarts[chosen]):
         print("\nno sweep count hit on every instance; none chosen")
         return
-    restarts = total[chosen] // chosen
     worst = min(rows[chosen][1] for rows in table.values()) / seeds
     print(
-        f"\nchosen: {chosen} sweeps x {restarts} restarts; predicted failure at the worst "
-        f"p, (1 - {worst:.3f}) ** {restarts} = {(1.0 - worst) ** restarts:.1e}"
+        f"\nchosen: {chosen} sweeps x {restarts[chosen]} restarts; predicted failure at the worst "
+        f"p, (1 - {worst:.3f}) ** {restarts[chosen]} = {(1.0 - worst) ** restarts[chosen]:.1e}"
     )
+
 
 if __name__ == "__main__":
     main()

@@ -189,8 +189,6 @@ def solve_sa(q: QuboInstance, s: AnnealSchedule = AnnealSchedule()) -> SolveResu
                 if d_e <= 0.0 or u < exp(-beta * d_e):
                     x[k] = 1 - on
                     e += d_e
-                    # add or subtract rather than multiply by a sign: IEEE
-                    # negation is exact, so the fields come out the same
                     if on:
                         for j, v in neighbors[k]:
                             h[j] -= v
