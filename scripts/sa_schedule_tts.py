@@ -2,13 +2,13 @@
 """Time to solution of simulated annealing per sweep count, on shapes of
 conflict graph harder than the benchmark's, to size the default schedule.
 
-    PYTHONPATH=src python3 scripts/sa_schedule_tts.py [--seeds 40] [--sweeps 10,25,...]
+    PYTHONPATH=src python3 scripts/sa_schedule_tts.py
 
-For every shape, instance and sweep count, SA runs once per seed with one
-restart (seeds 0 .. --seeds-1).  A run hits when its energy is the optimum,
-minus the maximum independent set size that branch and bound proves.  p is
-the share of an instance's runs that hit, and a shape is judged by its worst
-instance.  TTS99 is the time of one run times the runs needed to reach the
+For every shape, instance and sweep count in SWEEPS, SA runs once per seed
+with one restart (seeds 0 .. SEEDS-1).  A run hits when its energy is the
+optimum, minus the maximum independent set size that branch and bound
+proves.  p is the share of an instance's runs that hit, and a shape is
+judged by its worst instance.  TTS99 is the time of one run times the runs needed to reach the
 optimum with 99% confidence, ln(0.01) / ln(1 - p) and at least one (Ronnow
 et al., "Defining and detecting quantum speedup", Science 345, 2014).
 
@@ -19,40 +19,31 @@ the script finds the fewest restarts whose predicted failure,
 As a margin for the few seeds p rests on, p there is the lower end of its 95%
 Wilson interval rather than the share itself.  The sweep count chosen is the
 one whose restarts run the fewest sweeps in total.
+
+The criterion-3 bank is the one tests/test_acceptance.py gates the default
+on, so its rows are tuning data, not a held-out check of the default.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import statistics
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
-
-from qimatch.conflict import ConflictGraph, MatchCandidate, MatchParams, build_conflict_graph, generate_candidates
+from qimatch.conflict import MatchParams, build_conflict_graph, generate_candidates
 from qimatch.pipeline import SyntheticSpec, generate_synthetic
 from qimatch.qubo import mis_to_qubo
 from qimatch.rng import Xorshift64Star
 from qimatch.solvers import AnnealSchedule, solve_mis_bnb, solve_sa
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import random_bank  # noqa: E402  (criterion 3's bank, shared with the test)
+
 FAILURE_TARGET = 1e-4
-
-
-def random_bank():
-    """Criterion 3's bank: 100 random graphs of 5-20 vertices, density
-    0.1-0.9, drawn as tests/test_acceptance.py draws them."""
-    rng = Xorshift64Star(20260824)
-    for _ in range(100):
-        n = 5 + ((rng.next_u64() * 16) >> 64)
-        density = 0.1 + 0.8 * rng.uniform()
-        adj = np.zeros((n, n), dtype=bool)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.uniform() < density:
-                    adj[u, v] = adj[v, u] = True
-        vertices = tuple(MatchCandidate(i=k, alpha=k, d=1.0) for k in range(n))
-        yield ConflictGraph(vertices=vertices, adjacency=adj, params=MatchParams(limit_l=n))
+SEEDS = 40  # SA seeds per instance and sweep count
+SWEEPS = (10, 25, 50, 100, 200, 400, 1000)
 
 
 def synthetic_pairs(inliers, outliers, noise, params, seeds):
@@ -111,61 +102,54 @@ def restarts_for(p: float) -> float:
     return max(1, math.ceil(math.log(FAILURE_TARGET) / math.log(1.0 - p)))
 
 
-def measure(graphs, sweeps: list[int], seeds: int) -> dict[int, tuple[float, int, float]]:
+def measure(graphs) -> dict[int, tuple[float, int, float]]:
     """sweeps -> (p over all runs, hits of the worst instance, median seconds
     per run)."""
-    hits = {s: [] for s in sweeps}  # per instance
-    times = {s: [] for s in sweeps}
+    hits = {s: [] for s in SWEEPS}  # per instance
+    times = {s: [] for s in SWEEPS}
     for gc in graphs:
         q = mis_to_qubo(gc)
         optimum = -len(solve_mis_bnb(gc)[0])
-        for s in sweeps:
+        for s in SWEEPS:
             n_hit = 0
-            for seed in range(seeds):
+            for seed in range(SEEDS):
                 t0 = time.perf_counter()
                 res = solve_sa(q, AnnealSchedule(sweeps=s, restarts=1, seed=seed))
                 times[s].append(time.perf_counter() - t0)
                 n_hit += res.best_energy == optimum
             hits[s].append(n_hit)
     return {
-        s: (sum(hits[s]) / (seeds * len(hits[s])), min(hits[s]), statistics.median(times[s]))
-        for s in sweeps
+        s: (sum(hits[s]) / (SEEDS * len(hits[s])), min(hits[s]), statistics.median(times[s]))
+        for s in SWEEPS
     }
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", type=int, default=40, help="SA seeds per instance and sweep count")
-    ap.add_argument("--sweeps", default="10,25,50,100,200,400,1000", help="comma-separated sweep counts")
-    args = ap.parse_args()
-    sweeps = [int(s) for s in args.sweeps.split(",")]
-    seeds = args.seeds
-
     table = {}
-    print(f"{seeds} seeds per instance and sweep count, one restart per run\n")
+    print(f"{SEEDS} seeds per instance and sweep count, one restart per run\n")
     print("| shape | instances | sweeps | p | worst-instance p | its 95% low | one run (ms) | TTS99 (ms) |")
     print("|---|---|---|---|---|---|---|---|")
     for name, graphs in SHAPES.items():
         graphs = list(graphs())
-        table[name] = measure(graphs, sweeps, seeds)
+        table[name] = measure(graphs)
         for s, (p, worst, run_s) in table[name].items():
             print(
-                f"| {name} | {len(graphs)} | {s} | {p:.3f} | {worst / seeds:.3f} | {wilson_low(worst, seeds):.3f} "
-                f"| {1000 * run_s:.1f} | {1000 * tts99(run_s, worst / seeds):.1f} |"
+                f"| {name} | {len(graphs)} | {s} | {p:.3f} | {worst / SEEDS:.3f} | {wilson_low(worst, SEEDS):.3f} "
+                f"| {1000 * run_s:.1f} | {1000 * tts99(run_s, worst / SEEDS):.1f} |"
             )
 
     print(f"\n| sweeps | 95% low of the worst p, every shape | restarts for <= {FAILURE_TARGET:g} | total sweeps |")
     print("|---|---|---|---|")
     restarts = {}
-    for s in sweeps:
-        low = wilson_low(min(rows[s][1] for rows in table.values()), seeds)
+    for s in SWEEPS:
+        low = wilson_low(min(rows[s][1] for rows in table.values()), SEEDS)
         restarts[s] = restarts_for(low)
         print(f"| {s} | {low:.3f} | {restarts[s]} | {s * restarts[s]} |")
-    chosen = min(sweeps, key=lambda s: (s * restarts[s], -s))
+    chosen = min(SWEEPS, key=lambda s: (s * restarts[s], -s))
     if math.isinf(restarts[chosen]):
         print("\nno sweep count hit on every instance; none chosen")
         return
-    worst = min(rows[chosen][1] for rows in table.values()) / seeds
+    worst = min(rows[chosen][1] for rows in table.values()) / SEEDS
     print(
         f"\nchosen: {chosen} sweeps x {restarts[chosen]} restarts; predicted failure at the worst "
         f"p, (1 - {worst:.3f}) ** {restarts[chosen]} = {(1.0 - worst) ** restarts[chosen]:.1e}"

@@ -52,6 +52,16 @@ def random_conflict_graph(rng: Xorshift64Star, n: int, density: float) -> Confli
     return make_gc(n, edges)
 
 
+def random_bank():
+    """Criterion 3's bank: 100 random conflict graphs of 5-20 vertices and
+    density 0.1-0.9, the same graphs on every call."""
+    rng = Xorshift64Star(20260824)
+    for _ in range(100):
+        n = 5 + randrange(rng, 16)
+        density = 0.1 + 0.8 * rng.uniform()
+        yield random_conflict_graph(rng, n, density)
+
+
 def conflict_adjacency(
     g1: ImageGraph, g2: ImageGraph, candidates: list[MatchCandidate], p: MatchParams
 ) -> np.ndarray:

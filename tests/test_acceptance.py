@@ -13,6 +13,7 @@ from oracles import (
     adjacency,
     brute_force_mis,
     min_energy_masks,
+    random_bank,
     random_conflict_graph,
     randrange,
 )
@@ -38,12 +39,8 @@ DECODED_RESULTS = []
 def bench_instances():
     """100 random conflict graphs (5-20 vertices, density 0.1-0.9) with their
     brute-force ground truth."""
-    rng = Xorshift64Star(20260824)
     instances = []
-    for _ in range(100):
-        n = 5 + randrange(rng, 16)
-        density = 0.1 + 0.8 * rng.uniform()
-        gc = random_conflict_graph(rng, n, density)
+    for gc in random_bank():
         mis_size, mis_masks = brute_force_mis(gc.n, gc.edges)
         instances.append((gc, mis_size, mis_masks))
     return instances
