@@ -157,7 +157,7 @@ def build_conflict_graph(
     for k, wk in enumerate((w.w_dist, w.w_bearing, w.w_scale, w.w_orient)):
         d = tables[0][k][flat[0]] - tables[1][k][flat[1]]
         if k in (1, 3):  # bearing and orientation differences are angles
-            d = wrap_angles(d)
+            d = wrap_angles(np.abs(d))
         r2 += wk * d * d
     d = 1.0 - 2.0 * np.sqrt(r2) / w.r0
     hit = np.where(d > -1.0, d, -1.0) < p.t_geom  # max(-1, d) < t_geom, as d_geom clamps

@@ -167,12 +167,13 @@ def d_geom(g1: GeomRelation, g2: GeomRelation, w: GeomWeights = GeomWeights()) -
     """Geometric consistency of two relative poses, mapped into [-1, 1].
 
     1 - 2*r/r0 where r is the weighted residual norm, clamped at -1; equals 1
-    exactly when the two relations agree component-wise.
+    exactly when the two relations agree component-wise.  Angle differences
+    are wrapped as |a - b|, so swapping the relations gives the same bits.
     """
     d_ld = g1.log_dist - g2.log_dist
-    d_b = wrap_angle(g1.bearing - g2.bearing)
+    d_b = wrap_angle(abs(g1.bearing - g2.bearing))
     d_ls = g1.log_scale_ratio - g2.log_scale_ratio
-    d_o = wrap_angle(g1.d_orient - g2.d_orient)
+    d_o = wrap_angle(abs(g1.d_orient - g2.d_orient))
     r = math.sqrt(
         w.w_dist * d_ld * d_ld
         + w.w_bearing * d_b * d_b

@@ -118,7 +118,7 @@ def decode_matches(
         solver=solver,
         proven_optimal=proven_optimal,
         params=gc.params,
-        feature_similarity_sum=sum(gc.vertices[k].d for k in selected),
+        feature_similarity_sum=sum((gc.vertices[k].d for k in selected), 0.0),
     )
 
 
@@ -230,8 +230,6 @@ def match_images(
     if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
     gc = conflict_graph(g1, g2, p)
-    if gc.n == 0:
-        return MatchResult(pairs=(), solver=solver, proven_optimal=solver != "sa", params=p)
     if solver == "bnb":
         mis, proven = solve_mis_bnb(gc)
         x = Assignment(bits=tuple(1 if k in mis else 0 for k in range(gc.n)))

@@ -20,7 +20,8 @@ class QuboFormatError(ParseError):
 class QuboInstance:
     """Upper-triangular coefficient map over n binary variables.
 
-    Absent pairs are zero; explicit zeros are dropped at construction.
+    Absent pairs are zero; explicit zeros are dropped at construction.  Terms
+    are kept in file order, diagonal by i then couplers by (i, j).
     """
 
     n: int
@@ -29,15 +30,18 @@ class QuboInstance:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be >= 0")
-        clean = {}
+        diagonal, couplers = {}, {}
         for (i, j), v in self.terms.items():
             if not (0 <= i <= j < self.n):
                 raise ValueError(f"term ({i}, {j}) out of range for n={self.n}")
+            key = int(i), int(j)
+            if key != (i, j):
+                raise ValueError(f"term ({i}, {j}) has a non-integer index")
             if not math.isfinite(v):
                 raise ValueError(f"term ({i}, {j}) has non-finite value {v!r}")
             if v != 0.0:
-                clean[(int(i), int(j))] = float(v)
-        object.__setattr__(self, "terms", clean)
+                (diagonal if i == j else couplers)[key] = float(v)
+        object.__setattr__(self, "terms", {k: t[k] for t in (diagonal, couplers) for k in sorted(t)})
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,9 @@ def mis_to_qubo(gc: ConflictGraph) -> QuboInstance:
 
     Diagonal -1 per vertex, penalty n on every conflict edge: any violated
     edge costs more than the whole diagonal can repay, so minima are exactly
-    the maximum independent sets.
+    the maximum independent sets.  An empty graph gives the 0-variable QUBO.
     """
     n = gc.n
-    if n == 0:
-        raise ValueError("empty conflict graph has no variables to optimize")
     penalty = float(n)
     terms: dict[tuple[int, int], float] = {(k, k): -1.0 for k in range(n)}
     u, v = np.nonzero(np.triu(gc.adjacency, 1))
@@ -78,7 +80,7 @@ def energy(q: QuboInstance, x: Assignment) -> float:
     if len(x) != q.n:
         raise ValueError(f"assignment length {len(x)} does not match n={q.n}")
     bits = x.bits
-    return sum(v for (i, j), v in q.terms.items() if bits[i] and bits[j])
+    return sum((v for (i, j), v in q.terms.items() if bits[i] and bits[j]), 0.0)
 
 
 def _format_value(v: float) -> str:
@@ -90,11 +92,11 @@ def _format_value(v: float) -> str:
 
 def write_qubo(q: QuboInstance) -> str:
     """Serialize to qbsolv-style text: 'p qubo 0 maxNodes nNodes nCouplers',
-    then sorted diagonal lines 'i i value' and coupler lines 'i j value'."""
-    terms = sorted(q.terms.items(), key=lambda term: (term[0][0] < term[0][1], term[0]))
+    then one line 'i j value' per term, in the instance's file order."""
     n_diag = sum(i == j for i, j in q.terms)
-    lines = [f"p qubo 0 {q.n} {n_diag} {len(terms) - n_diag}"]
-    lines += [f"{i} {j} {_format_value(v)}" for (i, j), v in terms]
+    lines = [f"p qubo 0 {q.n} {n_diag} {len(q.terms) - n_diag}"]
+    text = {v: _format_value(v) for v in set(q.terms.values())}
+    lines += [f"{i} {j} {text[v]}" for (i, j), v in q.terms.items()]
     return "\n".join(lines) + "\n"
 
 

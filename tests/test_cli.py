@@ -74,6 +74,35 @@ def test_export_qubo_and_solve(tmp_path):
     assert sum(bits) >= 1  # some matches selected on this easy instance
 
 
+def test_export_qubo_without_candidates(tmp_path):
+    prefix = str(tmp_path / "pair")
+    main(["gen", "--inliers", "0", "--outliers", "2", "--seed", "1", "-o", prefix])
+    qfile = tmp_path / "inst.qubo"
+    rc = main(["export-qubo", f"{prefix}_1.json", f"{prefix}_2.json",
+               "--tfeat", "0.99", "-o", str(qfile)])
+    assert rc == EXIT_OK
+    assert qfile.read_text() == "p qubo 0 0 0 0\n"
+    assert json.loads((tmp_path / "inst.qubo.labels.json").read_text()) == {}
+    for solver in ("exact", "sa"):
+        afile = tmp_path / f"{solver}.txt"
+        assert main(["solve", str(qfile), "--solver", solver, "-o", str(afile)]) == EXIT_OK
+        assert afile.read_text() == ""
+
+
+def test_solve_ignores_term_line_order(tmp_path):
+    # 0000 and 0111 tie exactly in real arithmetic; summed in file order
+    # the float energies must not depend on how the file lists its terms
+    lines = ["0 0 0.1", "1 1 0.3", "2 2 0.1", "0 2 0.4", "0 3 0.3", "1 2 -0.3", "2 3 -0.1"]
+    outputs = []
+    for k, terms in enumerate((lines, lines[::-1])):
+        qfile = tmp_path / f"{k}.qubo"
+        qfile.write_text("\n".join(["p qubo 0 4 3 4", *terms]) + "\n")
+        afile = tmp_path / f"{k}.txt"
+        assert main(["solve", str(qfile), "--solver", "exact", "-o", str(afile)]) == EXIT_OK
+        outputs.append(afile.read_text())
+    assert outputs[0] == outputs[1]
+
+
 def test_solve_sa_deterministic(tmp_path):
     prefix = str(tmp_path / "pair")
     main(["gen", "--inliers", "4", "--outliers", "1", "--seed", "2", "-o", prefix])
@@ -124,8 +153,9 @@ def test_parse_error_exit_code(tmp_path):
     point = {"x": 1.0, "y": 2.0, "scale": 1.0, "orientation": 0.0}
     mixed = json.dumps({"points": [dict(point, descriptor=[1.0, 0.0]),
                                    dict(point, x=5.0, descriptor=[0.0, 1.0, 0.0])]})
+    empty = json.dumps({"points": [dict(point, descriptor=[])]})
     badg = tmp_path / "bad.json"
-    for doc in ("{broken", '{"points": null}', mixed):
+    for doc in ("{broken", '{"points": null}', mixed, empty):
         badg.write_text(doc)
         assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE, doc
 

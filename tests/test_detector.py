@@ -9,6 +9,7 @@ from qimatch.detector import (
     DetectorParams,
     PgmFormatError,
     RasterImage,
+    _orientation_histogram,
     _pgm_tokens,
     detect,
     log_response,
@@ -29,6 +30,16 @@ def blob_image(size, blobs):
 def test_constant_image_zero_response():
     img = RasterImage(np.full((16, 16), 0.5))
     assert np.allclose(log_response(img, 2.0), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_log_response_rejects_nonpositive_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        log_response(RasterImage(np.full((8, 8), 0.5)), sigma)
+
+
+def test_flat_window_has_no_orientation_histogram():
+    assert _orientation_histogram(np.full((16, 16), 0.5), 8, 8, 1.5, 8) is None
 
 
 def test_blank_image_no_detections():

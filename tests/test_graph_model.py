@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qimatch.errors import DegenerateGeometryError
@@ -65,6 +65,10 @@ class TestInterestPoint:
     def test_zero_descriptor_rejected(self):
         with pytest.raises(ValueError):
             pt(0, 0, desc=(0.0, 0.0))
+
+    def test_empty_descriptor_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            pt(0, 0, desc=())
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +217,9 @@ class TestDGeom:
         st.floats(-2, 2), st.floats(-3, 3), st.floats(-2, 2), st.floats(-3, 3),
         st.floats(-2, 2), st.floats(-3, 3), st.floats(-2, 2), st.floats(-3, 3),
     )
+    # angles more than pi apart, whose a - b and b - a wrap to different bits
+    @example(0.0, -2.674695030132182, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0)  # bearings
+    @example(0.0, 0.0, 0.0, -2.674695030132182, 0.0, 0.0, 0.0, 3.0)  # orientations
     def test_symmetric_and_bounded(self, a1, a2, a3, a4, b1, b2, b3, b4):
         g1 = GeomRelation(a1, a2, a3, a4)
         g2 = GeomRelation(b1, b2, b3, b4)

@@ -22,6 +22,19 @@ from qimatch.qubo import (
     write_qubo,
 )
 from qimatch.rng import Xorshift64Star
+from qimatch.solvers import AnnealSchedule, solve_exact, solve_sa
+
+
+@st.composite
+def qubo_terms(draw):
+    """n in 1..12 and a map of real or small-integer terms, in index order."""
+    n = draw(st.integers(1, 12))
+    value = st.one_of(
+        st.floats(-10, 10, allow_nan=False), st.integers(-3, 3).map(float)
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, {k: draw(value) for k, kept in zip(pairs, keep) if kept}
 
 
 class TestMisToQubo:
@@ -50,9 +63,15 @@ class TestMisToQubo:
         assert min(energies.values()) == -1.0
         assert sorted(minima) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            mis_to_qubo(make_gc(0, []))
+    def test_empty_graph_is_the_zero_variable_qubo(self):
+        q = mis_to_qubo(make_gc(0, []))
+        assert q == QuboInstance(0, {})
+        text = write_qubo(q)
+        assert text == "p qubo 0 0 0 0\n"
+        assert read_qubo(text) == q
+        for res in (solve_exact(q), solve_sa(q)):
+            assert res.best == Assignment(())
+            assert res.best_energy == 0.0 and type(res.best_energy) is float
 
     def test_exactness_on_random_graphs(self):
         rng = Xorshift64Star(2024)
@@ -88,6 +107,15 @@ class TestEnergy:
         q = QuboInstance(n=3, terms={(0, 0): -1.0, (0, 2): 5.0})
         assert energy(q, Assignment((0, 0, 0))) == 0.0
 
+    def test_float_when_no_term_is_active(self):
+        q = QuboInstance(n=2, terms={(0, 0): 1.0, (1, 1): 2.0})
+        for e in (energy(q, Assignment((0, 0))), energy(QuboInstance(0, {}), Assignment(()))):
+            assert e == 0.0 and type(e) is float
+        # the all-zero assignment is the optimum of an all-positive QUBO
+        for res in (solve_exact(q), solve_sa(q)):
+            assert res.best == Assignment((0, 0))
+            assert type(res.best_energy) is float
+
     def test_independent_set_energy(self):
         gc = make_gc(4, [(0, 1), (2, 3)])
         q = mis_to_qubo(gc)
@@ -122,6 +150,31 @@ class TestQuboInstance:
         q = QuboInstance(n=2, terms={(0, 0): 0.0, (0, 1): 3.0})
         assert q.terms == {(0, 1): 3.0}
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            QuboInstance(n=-1, terms={})
+
+    @pytest.mark.parametrize(
+        "terms", [{(0.5, 1): 1.0, (0, 1): 2.0}, {(0, 1.9): 1.0}, {(1, 1.5): 1.0}]
+    )
+    def test_non_integer_index_rejected(self, terms):
+        with pytest.raises(ValueError, match=r"term \(.*\) has a non-integer index"):
+            QuboInstance(n=2, terms=terms)
+
+    @given(qubo_terms(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_insertion_order_does_not_matter(self, case, data):
+        n, terms = case
+        shuffled = data.draw(st.permutations(list(terms.items())))
+        q1, q2 = QuboInstance(n, terms), QuboInstance(n, dict(shuffled))
+        assert list(q1.terms.items()) == list(q2.terms.items())
+        assert write_qubo(q1) == write_qubo(q2)
+        x = Assignment(tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+        assert energy(q1, x) == energy(q2, x)
+        assert solve_exact(q1) == solve_exact(q2)  # bits, best_energy and evaluations
+        schedule = AnnealSchedule(sweeps=10, restarts=2, seed=data.draw(st.integers(0, 99)))
+        assert solve_sa(q1, schedule) == solve_sa(q2, schedule)
+
     def test_bad_index_order(self):
         with pytest.raises(ValueError):
             QuboInstance(n=3, terms={(2, 1): 1.0})
@@ -142,6 +195,12 @@ class TestQuboInstance:
     def test_non_finite_rejected(self, terms):
         with pytest.raises(ValueError, match="non-finite"):
             QuboInstance(n=2, terms=terms)
+
+
+class TestAssignment:
+    def test_non_binary_bit_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Assignment((0, 2))
 
 
 class TestFormat:
@@ -191,8 +250,9 @@ class TestFormat:
                 b = randrange(rng, a + 1)
                 keys[a], keys[b] = keys[b], keys[a]
         shuffled = QuboInstance(n=n, terms={k: ordered[k] for k in couplers + diagonal})
-        assert list(shuffled.terms) != sorted(shuffled.terms)
-        assert write_qubo(shuffled) == write_qubo(QuboInstance(n=n, terms=ordered))
+        in_order = QuboInstance(n=n, terms=ordered)
+        assert list(shuffled.terms) == list(in_order.terms)
+        assert write_qubo(shuffled) == write_qubo(in_order)
 
     def test_bad_header(self):
         with pytest.raises(QuboFormatError, match="line 1"):

@@ -267,3 +267,5 @@ class TestAnnealSchedule:
             AnnealSchedule(beta_initial=2.0, beta_final=1.0)
         with pytest.raises(ValueError):
             AnnealSchedule(beta_final=float("nan"))
+        with pytest.raises(ValueError):
+            AnnealSchedule(restarts=0)
