@@ -2,8 +2,6 @@
 """End-to-end demo from pixels: render two blob images related by a 90-degree
 rotation, detect interest points, and match the resulting graphs."""
 
-import argparse
-
 import numpy as np
 
 from qimatch.conflict import MatchParams
@@ -11,6 +9,8 @@ from qimatch.detector import DetectorParams, RasterImage, detect
 from qimatch.graph_model import ImageGraph
 from qimatch.pipeline import match_images
 from qimatch.rng import Xorshift64Star
+
+BLOBS, SIZE, SEED = 8, 192, 1
 
 
 def render(size, blobs):
@@ -24,27 +24,21 @@ def render(size, blobs):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--blobs", type=int, default=8)
-    ap.add_argument("--size", type=int, default=192)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
-
-    rng = Xorshift64Star(args.seed)
+    rng = Xorshift64Star(SEED)
     blobs = [
         (
-            rng.uniform_in(0.2 * args.size, 0.8 * args.size),
-            rng.uniform_in(0.2 * args.size, 0.8 * args.size),
+            rng.uniform_in(0.2 * SIZE, 0.8 * SIZE),
+            rng.uniform_in(0.2 * SIZE, 0.8 * SIZE),
             rng.uniform_in(3.0, 5.0),
         )
-        for _ in range(args.blobs)
+        for _ in range(BLOBS)
     ]
-    img1 = render(args.size, blobs)
+    img1 = render(SIZE, blobs)
     img2 = np.rot90(img1, k=-1).copy()
 
     params = DetectorParams(
         sigma0=2.0, scale_step=1.35, n_scales=7,
-        response_threshold=0.005, max_points=2 * args.blobs,
+        response_threshold=0.005, max_points=2 * BLOBS,
     )
     g1 = ImageGraph(
         points=tuple(detect(RasterImage(img1), params)), id="img1"

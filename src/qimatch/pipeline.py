@@ -19,6 +19,7 @@ from .solvers import AnnealSchedule, SolveResult, solve_exact, solve_mis_bnb, so
 
 QUBO_SOLVERS = ("exact", "sa")
 SOLVER_NAMES = ("bnb", *QUBO_SOLVERS)
+FIELD_SIZE = 512.0  # synthetic points are drawn uniformly from [0, FIELD_SIZE)^2
 
 
 class GraphFormatError(ParseError):
@@ -66,13 +67,11 @@ class SyntheticSpec:
     translation: tuple[float, float] = (0.0, 0.0)
     position_noise: float = 0.0
     descriptor_noise: float = 0.0
-    field_size: float = 512.0
     descriptor_dim: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rotation", "scale", "translation", "position_noise",
-                     "descriptor_noise", "field_size"):
+        for name in ("rotation", "scale", "translation", "position_noise", "descriptor_noise"):
             value = getattr(self, name)
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -82,8 +81,6 @@ class SyntheticSpec:
             raise ValueError("transform scale must be > 0")
         if self.position_noise < 0 or self.descriptor_noise < 0:
             raise ValueError("noise levels must be >= 0")
-        if not self.field_size > 0:
-            raise ValueError("field_size must be > 0")
         if self.descriptor_dim < 2:
             raise ValueError("descriptor_dim must be >= 2")
 
@@ -162,8 +159,8 @@ def generate_synthetic(
 
     def random_point():
         return InterestPoint(
-            x=rng.uniform_in(0.0, spec.field_size),
-            y=rng.uniform_in(0.0, spec.field_size),
+            x=rng.uniform_in(0.0, FIELD_SIZE),
+            y=rng.uniform_in(0.0, FIELD_SIZE),
             scale=rng.uniform_in(1.0, 4.0),
             orientation=rng.uniform_in(-math.pi, math.pi),
             descriptor=_random_unit(rng, spec.descriptor_dim),

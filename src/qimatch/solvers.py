@@ -13,6 +13,7 @@ from .qubo import Assignment, QuboInstance, energy
 from .rng import Xorshift64Star, derive_seed
 
 EXACT_LIMIT = 25  # enumeration guard: 2^25 assignments
+BETA_INITIAL, BETA_FINAL = 0.1, 10.0  # SA's inverse-temperature ramp, fixed by the machine
 
 
 @dataclass(frozen=True)
@@ -38,25 +39,19 @@ class AnnealSchedule:
     """
 
     sweeps: int = 25
-    beta_initial: float = 0.1
-    beta_final: float = 10.0
     restarts: int = 34
     seed: int = 0
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if not self.beta_initial > 0:
-            raise ValueError("beta_initial must be > 0")
-        if not self.beta_final >= self.beta_initial:
-            raise ValueError("beta_final must be >= beta_initial")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
     def betas(self) -> list[float]:
-        ratio = self.beta_final / self.beta_initial
+        ratio = BETA_FINAL / BETA_INITIAL
         span = max(1, self.sweeps - 1)
-        return [self.beta_initial * ratio ** (t / span) for t in range(self.sweeps)]
+        return [BETA_INITIAL * ratio ** (t / span) for t in range(self.sweeps)]
 
 
 def _adjacency(q: QuboInstance) -> tuple[list[float], list[list[tuple[int, float]]]]:

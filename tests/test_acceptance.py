@@ -170,7 +170,6 @@ def test_criterion_5_end_to_end_recovery():
                 scale=1.1,
                 translation=(20.0, -15.0),
                 position_noise=1.0,
-                field_size=512.0,
                 seed=1000 + seed,
             )
         )

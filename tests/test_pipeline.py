@@ -90,7 +90,6 @@ class TestGenerateSynthetic:
             (dict(scale=-1.0), "scale must be > 0"),
             (dict(position_noise=-0.1), "noise levels"),
             (dict(descriptor_noise=-0.1), "noise levels"),
-            (dict(field_size=0.0), "field_size must be > 0"),
             (dict(descriptor_dim=1), "descriptor_dim"),
             (dict(rotation=math.nan), "rotation must be finite"),
             (dict(rotation=math.inf), "rotation must be finite"),
@@ -102,8 +101,6 @@ class TestGenerateSynthetic:
             (dict(position_noise=math.inf), "position_noise must be finite"),
             (dict(descriptor_noise=math.nan), "descriptor_noise must be finite"),
             (dict(descriptor_noise=-math.inf), "descriptor_noise must be finite"),
-            (dict(field_size=math.nan), "field_size must be finite"),
-            (dict(field_size=math.inf), "field_size must be finite"),
         ):
             with pytest.raises(ValueError, match=message):
                 SyntheticSpec(**bad)
