@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, require_ints
 from .graph_model import GeomWeights, ImageGraph, wrap_angles
 
 
@@ -32,6 +32,7 @@ class MatchParams:
     geom_weights: GeomWeights = field(default_factory=GeomWeights)
 
     def __post_init__(self):
+        require_ints(self, "limit_l")
         if not -1.0 <= self.t_feat < 1.0:
             raise ValueError("t_feat must lie in [-1, 1)")
         if not -1.0 <= self.t_geom < 1.0:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import ParseError
+from .errors import ParseError, require_ints
 from .graph_model import InterestPoint, wrap_angle
 
 
@@ -49,6 +49,7 @@ class DetectorParams:
     descriptor_bins: int = 16
 
     def __post_init__(self):
+        require_ints(self, "n_scales", "max_points", "descriptor_bins")
         if self.n_scales < 3:
             raise ValueError("n_scales must be >= 3")
         if not self.sigma0 > 0:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .conflict import ConflictGraph, MatchParams, build_conflict_graph, generate_candidates
-from .errors import InfeasibleSolutionError, ParseError
+from .errors import InfeasibleSolutionError, ParseError, require_ints
 from .graph_model import ImageGraph, InterestPoint
 from .qubo import Assignment, QuboInstance, mis_to_qubo
 from .rng import Xorshift64Star
@@ -71,6 +71,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "n_inliers", "n_outliers_per_image", "descriptor_dim", "seed")
         for name in ("rotation", "scale", "translation", "position_noise", "descriptor_noise"):
             value = getattr(self, name)
             if not np.isfinite(value).all():

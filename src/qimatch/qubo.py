@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflict import ConflictGraph
-from .errors import ParseError
+from .errors import ParseError, require_ints
 
 
 class QuboFormatError(ParseError):
@@ -28,6 +28,7 @@ class QuboInstance:
     terms: dict[tuple[int, int], float]
 
     def __post_init__(self):
+        require_ints(self, "n")
         if self.n < 0:
             raise ValueError("n must be >= 0")
         diagonal, couplers = {}, {}
@@ -51,10 +52,11 @@ class Assignment:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("assignment bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        bits = tuple(self.bits)
+        for k, b in enumerate(bits):
+            if b not in (0, 1):  # checked before int(), which would truncate 0.5 to 0
+                raise ValueError(f"assignment bit {k} is {b!r}, not 0 or 1")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     def __len__(self) -> int:
         return len(self.bits)

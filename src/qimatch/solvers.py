@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflict import ConflictGraph
+from .errors import require_ints
 from .qubo import Assignment, QuboInstance, energy
 from .rng import Xorshift64Star, derive_seed
 
@@ -43,6 +44,7 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "sweeps", "restarts", "seed")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
         if self.restarts < 1:

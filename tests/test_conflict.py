@@ -292,3 +292,6 @@ class TestMatchParams:
             MatchParams(t_geom=-1.5)
         with pytest.raises(ValueError):
             MatchParams(limit_l=0)
+        with pytest.raises(ValueError, match="limit_l must be an integer, got 2.5"):
+            MatchParams(limit_l=2.5)
+        assert type(MatchParams(limit_l=np.int64(3)).limit_l) is int

@@ -169,6 +169,9 @@ def test_params_validation():
         dict(response_threshold=math.inf),
         dict(max_points=0),
         dict(descriptor_bins=3),
+        dict(n_scales=3.5),
+        dict(max_points=2.5),
+        dict(descriptor_bins=4.5),
     ):
         with pytest.raises(ValueError):
             DetectorParams(**bad)

@@ -91,6 +91,10 @@ class TestGenerateSynthetic:
             (dict(position_noise=-0.1), "noise levels"),
             (dict(descriptor_noise=-0.1), "noise levels"),
             (dict(descriptor_dim=1), "descriptor_dim"),
+            (dict(n_inliers=2.5), "n_inliers must be an integer, got 2.5"),
+            (dict(n_outliers_per_image=2.5), "n_outliers_per_image must be an integer"),
+            (dict(descriptor_dim=2.5), "descriptor_dim must be an integer"),
+            (dict(seed=0.5), "seed must be an integer"),
             (dict(rotation=math.nan), "rotation must be finite"),
             (dict(rotation=math.inf), "rotation must be finite"),
             (dict(scale=math.nan), "scale must be finite"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,11 @@ class TestQuboInstance:
         with pytest.raises(ValueError, match="n must be >= 0"):
             QuboInstance(n=-1, terms={})
 
+    def test_non_integer_n_rejected(self):
+        # a float n once constructed and wrote a header read_qubo refuses
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            QuboInstance(2.5, {(0, 0): -1.0})
+
     @pytest.mark.parametrize(
         "terms", [{(0.5, 1): 1.0, (0, 1): 2.0}, {(0, 1.9): 1.0}, {(1, 1.5): 1.0}]
     )
@@ -201,6 +207,15 @@ class TestAssignment:
     def test_non_binary_bit_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
             Assignment((0, 2))
+        # non-integer bits are refused, not truncated
+        with pytest.raises(ValueError, match="bit 0 is 0.5, not 0 or 1"):
+            Assignment((0.5, 1))
+        with pytest.raises(ValueError, match="bit 1 is 1.7, not 0 or 1"):
+            Assignment((0, 1.7))
+        with pytest.raises(ValueError, match="bit 0 is '1'"):
+            Assignment(("1",))
+        bits = Assignment((True, np.int64(1), np.uint8(0), 0)).bits
+        assert bits == (1, 1, 0, 0) and all(type(b) is int for b in bits)
 
 
 class TestFormat:

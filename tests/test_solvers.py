@@ -1,7 +1,9 @@
 import inspect
 import itertools
 import sys
+from hashlib import sha256
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from oracles import (
     local_field,
     make_gc,
     max_degree_vertex,
+    random_bank,
     random_conflict_graph,
     randrange,
     reference_sa,
@@ -199,6 +202,22 @@ class TestSolveSa:
             res = solve_sa(q, AnnealSchedule(sweeps=20, restarts=2, seed=int(rng.next_u64())))
             assert res.best_energy <= 0.0
 
+    @pytest.mark.parametrize(
+        "schedule, digests",
+        [
+            (AnnealSchedule(seed=7), ["bf85c50361d9f101", "5442677390299f91", "61d5bac392939253"]),
+            (
+                AnnealSchedule(sweeps=1000, restarts=16, seed=7),  # the earlier default
+                ["bf85c50361d9f101", "5442677390299f91", "87e5e3d04376961f"],
+            ),
+        ],
+    )
+    def test_seeded_bits_pinned(self, schedule, digests):
+        # the same seed and schedule give the same bits in every version
+        graphs = itertools.islice(random_bank(), len(digests))
+        bits = [solve_sa(mis_to_qubo(gc), schedule).best.bits for gc in graphs]
+        assert [sha256(bytes(b)).hexdigest()[:16] for b in bits] == digests
+
     def test_matches_exact_on_smoke_set(self):
         rng = Xorshift64Star(404)
         hits = 0
@@ -259,3 +278,8 @@ class TestAnnealSchedule:
             AnnealSchedule(sweeps=0)
         with pytest.raises(ValueError):
             AnnealSchedule(restarts=0)
+        for name in ("sweeps", "restarts", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+                AnnealSchedule(**{name: 2.5})
+        s = AnnealSchedule(seed=np.int64(5))
+        assert type(s.seed) is int and s == AnnealSchedule(seed=5)
