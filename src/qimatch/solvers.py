@@ -14,7 +14,7 @@ from .qubo import Assignment, QuboInstance, energy
 from .rng import Xorshift64Star, derive_seed
 
 EXACT_LIMIT = 25  # enumeration guard: 2^25 assignments
-BETA_INITIAL, BETA_FINAL = 0.1, 10.0  # SA's inverse-temperature ramp, fixed by the machine
+BETA_INITIAL, BETA_FINAL = 0.1, 10.0  # SA's beta ramp; the default schedule is sized at it
 
 
 @dataclass(frozen=True)
