@@ -156,7 +156,7 @@ class TestQuboInstance:
             QuboInstance(n=-1, terms={})
 
     def test_non_integer_n_rejected(self):
-        # a float n once constructed and wrote a header read_qubo refuses
+        # n is written into the 'p qubo' header, which must read back as an integer
         with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
             QuboInstance(2.5, {(0, 0): -1.0})
 
