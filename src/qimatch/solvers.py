@@ -99,14 +99,18 @@ def solve_exact(q: QuboInstance) -> SolveResult:
     )
 
 
-def _cover_and_branch(p_mask: int, adj: list[int]) -> tuple[int, int]:
+def _cover_and_branch(p_mask: int, adj: list[int], need: int) -> tuple[int, int, int]:
     """One walk over the residual vertices p_mask.  Returns the number of
     cliques in their first-fit partition, an upper bound on their independent
     set size built one clique at a time on bitsets as in BBMC (San Segundo et
-    al. 2011), and the vertex of highest residual degree, lowest index on
-    ties (-1 if p_mask is empty)."""
+    al. 2011); the vertex of highest residual degree, lowest index on ties
+    (-1 if p_mask is empty); and the mask of the vertices with fewer than
+    `need` non-neighbours in p_mask, which cannot be in an independent set of
+    more than `need` of its vertices."""
     cliques = 0
     v = v_deg = -1
+    p_size = p_mask.bit_count()
+    drop = 0
     m = p_mask
     while m:
         cliques += 1
@@ -117,18 +121,43 @@ def _cover_and_branch(p_mask: int, adj: list[int]) -> tuple[int, int]:
             m ^= bit
             q &= adj[u]
             deg = (adj[u] & p_mask).bit_count()
+            if p_size - 1 - deg < need:
+                drop |= bit
             # the walk is not in index order, so ties compare indices
             if deg > v_deg or (deg == v_deg and u < v):
                 v, v_deg = u, deg
-    return cliques, v
+    return cliques, v, drop
+
+
+def _greedy_min_degree(adjacency: np.ndarray) -> int:
+    """Bitmask of a maximal independent set built greedily: the vertex with
+    the fewest neighbours in the residual graph, lowest index on ties, joins
+    the set, and it and its neighbours leave the residual graph."""
+    n = adjacency.shape[0]
+    alive = np.ones(n, dtype=bool)
+    deg = adjacency.sum(axis=1)  # residual degree of every alive vertex
+    mask = 0
+    while alive.any():
+        v = int(np.argmin(np.where(alive, deg, n)))  # the first minimum: lowest index
+        gone = alive & adjacency[v]
+        gone[v] = True
+        alive &= ~gone
+        deg -= adjacency[gone].sum(axis=0)
+        mask |= 1 << v
+    return mask
 
 
 def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
     """Exact maximum independent set by branch and bound.
 
-    One walk per search node gives both the greedy clique-cover bound it
-    prunes with and the vertex it branches on: the highest-degree vertex of
-    the residual graph, lowest index on ties, included first.  Deterministic.
+    The incumbent starts as the greedy minimum-degree set.  One walk per
+    search node gives the greedy clique-cover bound it prunes with, the
+    residual vertices too poor in non-neighbours to extend the selection
+    past the incumbent, which are peeled off until none is left, and the
+    vertex it branches on: the highest-degree vertex of the residual graph,
+    lowest index on ties, included first.  Only a strictly larger set
+    replaces the incumbent, so the result is the greedy set whenever that set
+    is maximum, else the first larger set the search finds.  Deterministic.
     The search runs on an explicit stack, so its depth is not bounded by the
     interpreter's recursion limit.
     """
@@ -136,8 +165,8 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
     rows = np.packbits(gc.adjacency, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
 
-    best_mask = 0
-    best_size = 0
+    best_mask = _greedy_min_degree(gc.adjacency)
+    best_size = best_mask.bit_count()
     # (selected, size, residual candidates); the top is expanded next
     stack = [(0, 0, (1 << n) - 1)]
     while stack:
@@ -147,8 +176,11 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
                 best_size = cur_size
                 best_mask = cur_mask
             continue
-        cliques, v = _cover_and_branch(p_mask, adj)
+        cliques, v, drop = _cover_and_branch(p_mask, adj, best_size - cur_size)
         if cur_size + cliques <= best_size:
+            continue
+        if drop:  # peel, and walk what is left
+            stack.append((cur_mask, cur_size, p_mask & ~drop))
             continue
         # exclude pushed first so the include branch is searched first
         stack.append((cur_mask, cur_size, p_mask & ~(1 << v)))

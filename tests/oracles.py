@@ -11,13 +11,19 @@ import math
 
 import numpy as np
 
-from qimatch.conflict import ConflictGraph, MatchCandidate, MatchParams
+from qimatch.conflict import (
+    ConflictGraph,
+    MatchCandidate,
+    MatchParams,
+    build_conflict_graph,
+    generate_candidates,
+)
 from qimatch.detector import DetectorParams, RasterImage, log_response
 from qimatch.errors import DegenerateGeometryError
 from qimatch.graph_model import ImageGraph, d_geom, geom_relation
 from qimatch.qubo import Assignment, QuboInstance, energy
 from qimatch.rng import Xorshift64Star, derive_seed
-from qimatch.solvers import AnnealSchedule, SolveResult, SolveStats
+from qimatch.solvers import AnnealSchedule, SolveResult, SolveStats, _cover_and_branch
 
 
 def randrange(rng: Xorshift64Star, n: int) -> int:
@@ -145,6 +151,62 @@ def max_degree_vertex(p_mask: int, adj: list[int]) -> int:
     return best
 
 
+def scarce_vertices(p_mask: int, adj: list[int], need: int) -> int:
+    """Mask of the vertices of p_mask with fewer than `need` non-neighbours in
+    p_mask, counted one vertex pair at a time."""
+    members = [v for v in range(p_mask.bit_length()) if (p_mask >> v) & 1]
+    out = 0
+    for v in members:
+        free = sum(1 for u in members if u != v and not (adj[v] >> u) & 1)
+        if free < need:
+            out |= 1 << v
+    return out
+
+
+def greedy_min_degree_set(n: int, edges) -> set[int]:
+    """Greedy independent set: the vertex with the fewest neighbours among the
+    remaining ones, the lowest index among equals, is taken, and it and its
+    neighbours are removed, until no vertex remains."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    remaining = set(range(n))
+    chosen = set()
+    while remaining:
+        v = min(remaining, key=lambda u: (len(nbrs[u] & remaining), u))
+        chosen.add(v)
+        remaining -= nbrs[v] | {v}
+    return chosen
+
+
+def reference_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
+    """solve_mis_bnb before its greedy incumbent and its peeling: the search
+    starts from the empty set and prunes with the clique-cover bound alone."""
+    n = gc.n
+    rows = np.packbits(gc.adjacency, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+    best_mask = 0
+    best_size = 0
+    # (selected, size, residual candidates); the top is expanded next
+    stack = [(0, 0, (1 << n) - 1)]
+    while stack:
+        cur_mask, cur_size, p_mask = stack.pop()
+        if p_mask == 0:
+            if cur_size > best_size:
+                best_size = cur_size
+                best_mask = cur_mask
+            continue
+        cliques, v, _ = _cover_and_branch(p_mask, adj, 0)  # need 0 peels nothing
+        if cur_size + cliques <= best_size:
+            continue
+        # exclude pushed first so the include branch is searched first
+        stack.append((cur_mask, cur_size, p_mask & ~(1 << v)))
+        stack.append((cur_mask | (1 << v), cur_size + 1, p_mask & ~(adj[v] | (1 << v))))
+    return {k for k in range(n) if (best_mask >> k) & 1}, True
+
+
 def local_field(q: QuboInstance, x: Assignment, k: int) -> float:
     """Energy gained by setting bit k (given the other bits); flipping bit k
     changes the energy by +field if the bit turns on, -field if it turns off."""
@@ -189,6 +251,18 @@ def brute_force_mis(n: int, edges) -> tuple[int, set[int]]:
     sizes = _popcount(masks)
     best = int(sizes.max()) if masks.size else 0
     return best, set(int(m) for m in masks[sizes == best])
+
+
+def maximum_matchings(g1: ImageGraph, g2: ImageGraph, p: MatchParams) -> set[frozenset]:
+    """Every maximum independent set of the pair's conflict graph, as a set of
+    (i, alpha) pairs, by brute force: a bnb match must be one of them, and
+    which one follows the solver's tie rule."""
+    gc = build_conflict_graph(g1, g2, generate_candidates(g1, g2, p), p)
+    _, masks = brute_force_mis(gc.n, gc.edges)
+    return {
+        frozenset((c.i, c.alpha) for k, c in enumerate(gc.vertices) if (m >> k) & 1)
+        for m in masks
+    }
 
 
 def enumerate_energies(n: int, terms) -> np.ndarray:

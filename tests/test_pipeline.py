@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import graph_from_edges, make_gc
+from oracles import graph_from_edges, make_gc, maximum_matchings
 from qimatch.conflict import (
     ConflictGraph,
     MatchCandidate,
@@ -133,7 +133,9 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(n_inliers=6, n_outliers_per_image=0, rotation=1.0,
                              scale=1.5, translation=(30.0, -10.0), seed=5)
         g1, g2, truth = generate_synthetic(spec)
-        r = match_images(g1, g2, MatchParams(t_feat=0.99, t_geom=0.0), solver="bnb")
+        p = MatchParams(t_feat=0.99, t_geom=0.0)
+        assert maximum_matchings(g1, g2, p) == {frozenset(truth)}  # whatever the tie rule
+        r = match_images(g1, g2, p, solver="bnb")
         assert set(r.pairs) == set(truth)
 
 
@@ -149,9 +151,12 @@ class TestMatchImages:
                 descriptor=d,
             ))
         g = ImageGraph(points=tuple(pts), id="g")
-        r = match_images(g, g, MatchParams(t_feat=0.99, t_geom=0.0), solver="bnb")
+        p = MatchParams(t_feat=0.99, t_geom=0.0)
+        identity = frozenset((k, k) for k in range(5))
+        assert maximum_matchings(g, g, p) == {identity}  # whatever the tie rule
+        r = match_images(g, g, p, solver="bnb")
         assert r.similarity == 5
-        assert set(r.pairs) == {(k, k) for k in range(5)}
+        assert set(r.pairs) == identity
 
     def test_orthogonal_descriptors_no_matches(self):
         p1 = InterestPoint(0, 0, 1.0, 0.0, np.array([1.0, 0.0]))
@@ -167,6 +172,7 @@ class TestMatchImages:
         p = MatchParams(t_feat=0.9, t_geom=0.0)
         r = match_images(g1, g2, p, solver="bnb")
         assert set(truth) <= set(r.pairs)
+        assert all(set(truth) <= m for m in maximum_matchings(g1, g2, p))  # whatever the tie rule
         cands = generate_candidates(g1, g2, p)
         gc = build_conflict_graph(g1, g2, cands, p)
         exact = solve_exact(mis_to_qubo(gc))

@@ -12,19 +12,25 @@ from oracles import (
     adjacency,
     brute_force_mis,
     first_fit_clique_count,
+    greedy_min_degree_set,
     local_field,
     make_gc,
     max_degree_vertex,
     random_bank,
     random_conflict_graph,
     randrange,
+    reference_bnb,
     reference_sa,
+    scarce_vertices,
 )
+from qimatch.conflict import MatchParams, build_conflict_graph, generate_candidates
+from qimatch.pipeline import SyntheticSpec, generate_synthetic
 from qimatch.qubo import Assignment, QuboInstance, energy, mis_to_qubo
 from qimatch.rng import Xorshift64Star, derive_seed
 from qimatch.solvers import (
     AnnealSchedule,
     _cover_and_branch,
+    _greedy_min_degree,
     solve_exact,
     solve_mis_bnb,
     solve_sa,
@@ -94,6 +100,37 @@ class TestSolveExact:
         assert res.best_energy == pytest.approx(best, abs=1e-12)
 
 
+def check_bnb(gc):
+    """solve_mis_bnb's set is independent, proven and as large as the
+    reference search's; for n <= 18 it is one of the brute-force maxima; and
+    it is the greedy minimum-degree set whenever that set is maximum."""
+    mis, proven = solve_mis_bnb(gc)
+    adj = adjacency(gc)
+    assert proven and all(v not in adj[u] for u in mis for v in mis)
+    assert len(mis) == len(reference_bnb(gc)[0])
+    if gc.n <= 18:
+        _, masks = brute_force_mis(gc.n, gc.edges)
+        assert sum(1 << v for v in mis) in masks
+    greedy = greedy_min_degree_set(gc.n, gc.edges)
+    if len(greedy) == len(mis):
+        assert mis == greedy
+
+
+@st.composite
+def mis_graphs(draw):
+    rng = Xorshift64Star(draw(st.integers(0, 2**64 - 1)))
+    return random_conflict_graph(rng, draw(st.integers(0, 40)), draw(st.floats(0.0, 1.0)))
+
+
+# the benchmark's synthetic shapes: (inliers, outliers per image, position noise, t_feat, cap)
+BENCHMARK_SHAPES = {
+    "dense": (64, 160, 1.0, 0.3, 512),
+    "sparse": (120, 20, 3.0, 0.6, 124),
+    "qubo-sa": (40, 100, 1.0, 0.3, 100),
+    "noisy": (180, 24, 8.0, 0.6, 204),  # the 204-candidate, 8 px-noise shape
+}
+
+
 class TestSolveMisBnb:
     def test_edgeless(self):
         mis, proven = solve_mis_bnb(make_gc(5, []))
@@ -102,35 +139,80 @@ class TestSolveMisBnb:
     def test_complete_graph(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         mis, proven = solve_mis_bnb(make_gc(4, edges))
+        # every vertex is a maximum set; the greedy set takes the lowest index
         assert mis == {0} and proven
 
     def test_empty_graph(self):
         assert solve_mis_bnb(make_gc(0, [])) == (set(), True)
 
     def test_depth_not_bound_by_recursion_limit(self):
-        gc = make_gc(120, [])  # edgeless: the search goes 120 levels deep
+        # greedy takes 2 of the 6-vertex gadget's 3, so the search that finds 3
+        # includes the 114 isolated vertices one level each: 118 levels deep
+        gadget = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (3, 5)]
+        gc = make_gc(120, gadget)
+        assert len(greedy_min_degree_set(gc.n, gc.edges)) == 116
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 40)
         try:
             mis, proven = solve_mis_bnb(gc)
         finally:
             sys.setrecursionlimit(limit)
-        assert mis == set(range(120)) and proven
+        assert len(mis) == 117 and proven
 
     def test_matches_brute_force_100(self):
         rng = Xorshift64Star(303)
         for _ in range(100):
             gc = random_conflict_graph(rng, 18, 0.1 + 0.8 * rng.uniform())
             mis, proven = solve_mis_bnb(gc)
-            size, _ = brute_force_mis(gc.n, gc.edges)
+            size, masks = brute_force_mis(gc.n, gc.edges)
             assert proven and len(mis) == size
-            adj = adjacency(gc)
-            assert all(v not in adj[u] for u in mis for v in mis)
+            assert sum(1 << v for v in mis) in masks
+
+    @given(mis_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_size_as_reference_search(self, gc):
+        check_bnb(gc)
+
+    @pytest.mark.parametrize(
+        "shape, seeds",
+        [("dense", (0, 1)), ("sparse", (0, 1, 2, 3)), ("qubo-sa", (0, 1)), ("noisy", (4,))],
+    )
+    def test_benchmark_shapes(self, shape, seeds):
+        inliers, outliers, noise, t_feat, cap = BENCHMARK_SHAPES[shape]
+        p = MatchParams(t_feat=t_feat, limit_l=cap)
+        for seed in seeds:
+            g1, g2, _ = generate_synthetic(
+                SyntheticSpec(
+                    n_inliers=inliers,
+                    n_outliers_per_image=outliers,
+                    rotation=0.7,
+                    scale=1.1,
+                    translation=(12.0, -30.0),
+                    position_noise=noise,
+                    seed=seed,
+                )
+            )
+            gc = build_conflict_graph(g1, g2, generate_candidates(g1, g2, p), p)
+            assert gc.n == cap
+            check_bnb(gc)
 
     def test_deterministic(self):
         rng = Xorshift64Star(9)
         gc = random_conflict_graph(rng, 15, 0.4)
         assert solve_mis_bnb(gc) == solve_mis_bnb(gc)
+
+    def test_greedy_incumbent_is_scalar_greedy(self):
+        rng = Xorshift64Star(616)
+        cases = [make_gc(0, []), make_gc(4, [(0, 1), (1, 2), (2, 3), (0, 3)])]
+        for _ in range(200):
+            cases.append(random_conflict_graph(rng, 1 + randrange(rng, 40), rng.uniform()))
+        for gc in cases:
+            mask = _greedy_min_degree(gc.adjacency)
+            assert {v for v in range(gc.n) if (mask >> v) & 1} == greedy_min_degree_set(
+                gc.n, gc.edges
+            )
+        # the four-cycle: every degree is 2, so 0 goes first and takes 1 and 3 with it
+        assert _greedy_min_degree(cases[1].adjacency) == 0b0101
 
     def test_cover_and_branch_is_first_fit_and_max_degree(self):
         rng = Xorshift64Star(515)
@@ -141,12 +223,19 @@ class TestSolveMisBnb:
             cases += [(gc, rng.next_u64() & ((1 << n) - 1)) for _ in range(5)]
         # walked 0, 3, 1, 2: vertex 3 is reached before vertex 1, of the same degree
         cases.append((make_gc(4, [(0, 3), (1, 2), (1, 3)]), 0b1111))
+        need_rng = Xorshift64Star(516)
         for gc, p_mask in cases:
             adj = [sum(1 << v for v in nbrs) for nbrs in adjacency(gc)]
-            assert _cover_and_branch(p_mask, adj) == (
-                first_fit_clique_count(p_mask, adj),
-                max_degree_vertex(p_mask, adj),
-            )
+            for need in (0, randrange(need_rng, p_mask.bit_count() + 2)):
+                assert _cover_and_branch(p_mask, adj, need) == (
+                    first_fit_clique_count(p_mask, adj),
+                    max_degree_vertex(p_mask, adj),
+                    scarce_vertices(p_mask, adj, need),
+                )
+        # an edgeless set of 3 has 2 non-neighbours each: kept for need 2, dropped for 3
+        adj = [0, 0, 0]
+        assert _cover_and_branch(0b111, adj, 2)[2] == 0
+        assert _cover_and_branch(0b111, adj, 3)[2] == 0b111
 
 
 class TestLocalField:
