@@ -122,15 +122,6 @@ def mis_graphs(draw):
     return random_conflict_graph(rng, draw(st.integers(0, 40)), draw(st.floats(0.0, 1.0)))
 
 
-# the benchmark's synthetic shapes: (inliers, outliers per image, position noise, t_feat, cap)
-BENCHMARK_SHAPES = {
-    "dense": (64, 160, 1.0, 0.3, 512),
-    "sparse": (120, 20, 3.0, 0.6, 124),
-    "qubo-sa": (40, 100, 1.0, 0.3, 100),
-    "noisy": (180, 24, 8.0, 0.6, 204),  # the 204-candidate, 8 px-noise shape
-}
-
-
 class TestSolveMisBnb:
     def test_edgeless(self):
         mis, proven = solve_mis_bnb(make_gc(5, []))
@@ -174,11 +165,16 @@ class TestSolveMisBnb:
         check_bnb(gc)
 
     @pytest.mark.parametrize(
-        "shape, seeds",
-        [("dense", (0, 1)), ("sparse", (0, 1, 2, 3)), ("qubo-sa", (0, 1)), ("noisy", (4,))],
+        "inliers, outliers, noise, t_feat, cap, seeds",
+        [
+            (64, 160, 1.0, 0.3, 512, (0, 1)),
+            (120, 20, 3.0, 0.6, 124, (0, 1, 2, 3)),
+            (40, 100, 1.0, 0.3, 100, (0, 1)),
+            (180, 24, 8.0, 0.6, 204, (4,)),
+        ],
+        ids=["dense-bnb", "sparse-bnb", "qubo-sa", "204-candidates-8px-noise"],
     )
-    def test_benchmark_shapes(self, shape, seeds):
-        inliers, outliers, noise, t_feat, cap = BENCHMARK_SHAPES[shape]
+    def test_benchmark_shapes(self, inliers, outliers, noise, t_feat, cap, seeds):
         p = MatchParams(t_feat=t_feat, limit_l=cap)
         for seed in seeds:
             g1, g2, _ = generate_synthetic(
