@@ -29,7 +29,7 @@ from .pipeline import (
     solve_qubo,
     write_graph,
 )
-from .qubo import mis_to_qubo, read_qubo, write_qubo
+from .qubo import QuboFormatError, mis_to_qubo, read_qubo, write_qubo
 from .solvers import AnnealSchedule
 
 EXIT_OK = 0
@@ -138,7 +138,11 @@ def cmd_export_qubo(args):
 
 
 def cmd_solve(args):
-    q = read_qubo(Path(args.qubo).read_text())
+    try:
+        text = Path(args.qubo).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise QuboFormatError(f"not UTF-8 text: {exc}") from None
+    q = read_qubo(text)
     res = solve_qubo(q, args.solver, _from_args(AnnealSchedule, args))
     Path(args.output).write_text("".join(f"{b}\n" for b in res.best.bits))
 

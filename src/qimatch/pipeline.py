@@ -256,6 +256,8 @@ def graph_from_json(text: str) -> ImageGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
         raise GraphFormatError("graph document must be an object with a 'points' list")
     names = [f.name for f in fields(InterestPoint)]
@@ -276,7 +278,11 @@ def write_graph(g: ImageGraph, path) -> None:
 
 
 def read_graph(path) -> ImageGraph:
-    return graph_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc}") from None
+    return graph_from_json(text)
 
 
 def match_result_to_json(r: MatchResult) -> str:

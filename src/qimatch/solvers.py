@@ -129,21 +129,24 @@ def _cover_and_branch(p_mask: int, adj: list[int], need: int) -> tuple[int, int,
     return cliques, v, drop
 
 
-def _greedy_min_degree(adjacency: np.ndarray) -> int:
+def _greedy_min_degree(adj: list[int]) -> int:
     """Bitmask of a maximal independent set built greedily: the vertex with
     the fewest neighbours in the residual graph, lowest index on ties, joins
     the set, and it and its neighbours leave the residual graph."""
-    n = adjacency.shape[0]
-    alive = np.ones(n, dtype=bool)
-    deg = adjacency.sum(axis=1)  # residual degree of every alive vertex
+    alive = (1 << len(adj)) - 1
     mask = 0
-    while alive.any():
-        v = int(np.argmin(np.where(alive, deg, n)))  # the first minimum: lowest index
-        gone = alive & adjacency[v]
-        gone[v] = True
-        alive &= ~gone
-        deg -= adjacency[gone].sum(axis=0)
+    while alive:
+        v_deg = len(adj)
+        m = alive
+        while m and v_deg:  # index order keeps the first minimum; none is below 0
+            bit = m & -m
+            m ^= bit
+            u = bit.bit_length() - 1
+            deg = (adj[u] & alive).bit_count()
+            if deg < v_deg:
+                v, v_deg = u, deg
         mask |= 1 << v
+        alive &= ~(adj[v] | 1 << v)
     return mask
 
 
@@ -165,7 +168,7 @@ def solve_mis_bnb(gc: ConflictGraph) -> tuple[set[int], bool]:
     rows = np.packbits(gc.adjacency, axis=1, bitorder="little")
     adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
 
-    best_mask = _greedy_min_degree(gc.adjacency)
+    best_mask = _greedy_min_degree(adj)
     best_size = best_mask.bit_count()
     # (selected, size, residual candidates); the top is expanded next
     stack = [(0, 0, (1 << n) - 1)]

@@ -158,6 +158,14 @@ def test_parse_error_exit_code(tmp_path):
     for doc in ("{broken", '{"points": null}', mixed, empty):
         badg.write_text(doc)
         assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE, doc
+    badg.write_text('{"points": ' + "[" * 200000 + "]" * 200000 + "}")  # nested too deeply
+    assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE
+
+    # graph and QUBO files are read as UTF-8, and these bytes are not UTF-8
+    badg.write_bytes(b'\xff\xfe{"points": []}')
+    assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE
+    bad.write_bytes(b"p qubo 0 1 1 0\n0 0 \xff\n")
+    assert main(["solve", str(bad), "-o", str(out)]) == EXIT_PARSE
 
     # every energy would be NaN, so the all-zero assignment would "win"
     inf = tmp_path / "inf.qubo"
@@ -370,6 +378,24 @@ def test_flags_parse_to_their_field_types(capsys):
     assert type(parse(BARE["detect"] + ["--sigma0", "2"]).sigma0) is float
     assert main(BARE["match"] + ["--limit", "3.5"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: argument --limit: invalid int value: '3.5'\n"
+
+
+def test_pipeline_modules_do_not_load_scipy():
+    # only the detector needs SciPy; the modules of the graph-to-QUBO chain do not
+    code = (
+        "import sys\n"
+        "import qimatch.graph_model, qimatch.rng, qimatch.conflict\n"
+        "import qimatch.qubo, qimatch.solvers, qimatch.pipeline\n"
+        "print('scipy' in sys.modules)\n"
+        "import qimatch.detector\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nTrue\n"
 
 
 def test_demo_script_runs():

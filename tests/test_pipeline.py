@@ -28,6 +28,7 @@ from qimatch.pipeline import (
     graph_to_json,
     match_images,
     match_result_to_json,
+    read_graph,
     solve_qubo,
 )
 from qimatch.qubo import Assignment, mis_to_qubo
@@ -302,6 +303,14 @@ class TestGraphIO:
         doc = '{"id": "x", "points": [{"x": 1, "y": 2, "scale": 1, "orientation": 0, "descriptor": [0, 0]}]}'
         with pytest.raises(GraphFormatError):
             graph_from_json(doc)
+
+    def test_not_utf8_or_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b'\xff\xfe{"points": []}')
+        with pytest.raises(GraphFormatError, match="^not UTF-8 text: "):
+            read_graph(path)
+        with pytest.raises(GraphFormatError, match="^invalid JSON: nested too deeply$"):
+            graph_from_json('{"points": ' + "[" * 200000 + "]" * 200000 + "}")
 
 
 class TestExports:
