@@ -22,7 +22,6 @@ from .pipeline import (
     conflict_graph,
     conflict_graph_to_dot,
     generate_synthetic,
-    graph_to_json,
     match_images,
     match_result_to_json,
     read_graph,
@@ -104,8 +103,7 @@ def _load_pair(args) -> tuple[ImageGraph, ImageGraph]:
 def cmd_detect(args):
     img = read_pgm(args.image)
     points = detect(img, _from_args(DetectorParams, args))
-    graph = ImageGraph(points=tuple(points), id=Path(args.image).name)
-    Path(args.output).write_text(graph_to_json(graph))
+    write_graph(ImageGraph(points=tuple(points), id=Path(args.image).name), args.output)
 
 
 def cmd_gen(args):

@@ -90,13 +90,6 @@ def _laplacian(a: np.ndarray, sigma: float) -> np.ndarray:
     return sigma * sigma * (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * a)
 
 
-def log_response(img: RasterImage, sigma: float) -> np.ndarray:
-    """Scale-normalized LoG response sigma^2 * Lap(G_sigma * img)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    return _laplacian(_gaussian_blur(img.pixels, sigma), sigma)
-
-
 def _orientation_histogram(
     blurred: np.ndarray,
     x: int,
@@ -108,8 +101,9 @@ def _orientation_histogram(
     histogram over a Gaussian-weighted disk of radius 3*sigma around it.
 
     The bin axis is rotated by that direction, so descriptors of a rotated
-    pattern stay comparable.  Returns None when every gradient in the window
-    vanishes.
+    pattern stay comparable.  The histogram is returned as summed, and
+    InterestPoint makes it a unit vector.  Returns None when its norm is 0,
+    as when every gradient in the window vanishes.
     """
     h, w = blurred.shape
     radius = math.ceil(3.0 * sigma)
@@ -133,10 +127,9 @@ def _orientation_histogram(
     hist = np.zeros(bins)
     np.add.at(hist, lo, weight * (1.0 - frac))
     np.add.at(hist, (lo + 1) % bins, weight * frac)
-    norm = float(np.linalg.norm(hist))
-    if norm == 0.0:
+    if float(np.linalg.norm(hist)) == 0.0:
         return None
-    return orientation, hist / norm
+    return orientation, hist
 
 
 def detect(img: RasterImage, p: DetectorParams = DetectorParams()) -> list[InterestPoint]:

@@ -48,7 +48,10 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InterestPoint:
-    """One salient image location: position, scale, orientation, descriptor."""
+    """One salient image location: position, scale, orientation, descriptor.
+
+    The descriptor is stored as a unit vector, whatever its length on input.
+    """
 
     x: float
     y: float

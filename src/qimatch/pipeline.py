@@ -120,14 +120,6 @@ def decode_matches(
     )
 
 
-def _random_unit(rng: Xorshift64Star, dim: int) -> np.ndarray:
-    while True:
-        v = np.array([rng.normal() for _ in range(dim)])
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            return v / norm
-
-
 def apply_similarity(
     g: ImageGraph, rotation: float, scale: float, translation: tuple[float, float]
 ) -> ImageGraph:
@@ -164,7 +156,7 @@ def generate_synthetic(
             y=rng.uniform_in(0.0, FIELD_SIZE),
             scale=rng.uniform_in(1.0, 4.0),
             orientation=rng.uniform_in(-math.pi, math.pi),
-            descriptor=_random_unit(rng, spec.descriptor_dim),
+            descriptor=[rng.normal() for _ in range(spec.descriptor_dim)],
         )
 
     def overflow(cause):  # a finite spec can still overflow a generated inlier

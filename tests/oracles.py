@@ -18,7 +18,7 @@ from qimatch.conflict import (
     build_conflict_graph,
     generate_candidates,
 )
-from qimatch.detector import DetectorParams, RasterImage, log_response
+from qimatch.detector import DetectorParams, RasterImage, _gaussian_blur, _laplacian
 from qimatch.errors import DegenerateGeometryError
 from qimatch.graph_model import ImageGraph, d_geom, geom_relation
 from qimatch.qubo import Assignment, QuboInstance, energy
@@ -350,6 +350,11 @@ def pgm_tokens(data: bytes):
                 j += 1
             yield data[i:j], j
             i = j
+
+
+def log_response(img: RasterImage, sigma: float) -> np.ndarray:
+    """Scale-normalized LoG response sigma^2 * Lap(G_sigma * img), at one sigma."""
+    return _laplacian(_gaussian_blur(img.pixels, sigma), sigma)
 
 
 def ranked_extrema(img: RasterImage, p: DetectorParams) -> list[tuple[int, int, int]]:
