@@ -211,10 +211,9 @@ def read_pgm(path) -> RasterImage:
     header = []
     for what in ("width", "height", "maxval"):
         tok, end = next_token(what)
-        try:
-            header.append(int(tok))
-        except ValueError:
-            raise PgmFormatError(f"invalid {what}: {tok!r}") from None
+        if not tok.isdigit():  # ASCII digits only: int() would also take signs and '_'
+            raise PgmFormatError(f"invalid {what}: {tok!r}")
+        header.append(int(tok))
     width, height, maxval = header
     if width < 1 or height < 1:
         raise PgmFormatError(f"invalid dimensions {width}x{height}")
@@ -225,10 +224,9 @@ def read_pgm(path) -> RasterImage:
     if magic == b"P2":
         values = []
         for tok, _ in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise PgmFormatError(f"invalid pixel value {tok!r}") from None
+            if not tok.isdigit():
+                raise PgmFormatError(f"invalid pixel value {tok!r}")
+            values.append(int(tok))
         if len(values) != count:
             raise PgmFormatError(f"expected {count} pixels, got {len(values)}")
         arr = np.array(values, dtype=float)
@@ -242,6 +240,6 @@ def read_pgm(path) -> RasterImage:
             raise PgmFormatError(f"truncated pixel data: need {need} bytes, got {len(raw)}")
         arr = np.frombuffer(raw[:need], dtype=dtype).astype(float)
 
-    if arr.size and (arr.min() < 0 or arr.max() > maxval):
+    if arr.max() > maxval:  # digits and unsigned samples are never negative
         raise PgmFormatError("pixel value out of range")
     return RasterImage((arr / maxval).reshape(height, width))

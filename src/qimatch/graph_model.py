@@ -10,6 +10,7 @@ uniform scaling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,26 @@ _UNIT_NORM_TOL = 1e-12
 
 # The smallest norm whose squared entries sum without losing bits to underflow.
 _MIN_NORM = math.sqrt(np.finfo(float).tiny)
+
+
+def _is_real(value) -> bool:
+    """What a coordinate or descriptor entry may be: a real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _float_vector(values) -> np.ndarray:
+    """values as a 1-d float array.  np.asarray(values, dtype=float) would read
+    strings and bools as numbers, so an entry that is not a real number, or is
+    a bool, raises."""
+    desc = np.asarray(values)
+    if desc.ndim != 1 or desc.size == 0:
+        raise ValueError("descriptor must be a non-empty 1-d vector")
+    if desc.dtype == float and (isinstance(values, np.ndarray) or bool not in map(type, values)):
+        return desc
+    for v in values:
+        if not _is_real(v):
+            raise ValueError(f"descriptor entries must be real numbers, got {v!r}")
+    return np.asarray(values, dtype=float)
 
 
 def wrap_angle(theta: float) -> float:
@@ -61,21 +82,24 @@ class InterestPoint:
 
     def __post_init__(self):
         for name in ("x", "y", "scale", "orientation"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not float:
+                if not _is_real(value):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
+                value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
-        desc = np.asarray(self.descriptor, dtype=float)
-        if desc.ndim != 1 or desc.size == 0:
-            raise ValueError("descriptor must be a non-empty 1-d vector")
+        desc = _float_vector(self.descriptor)
         with np.errstate(over="ignore", under="ignore"):
-            norm = float(np.linalg.norm(desc))
+            # np.linalg.norm's formula for a 1-d float vector, without its overhead
+            norm = math.sqrt(desc.dot(desc))
             if not _MIN_NORM <= norm < math.inf and np.isfinite(desc).all() and desc.any():
                 # finite, nonzero entries whose squares over- or underflow the sum
                 desc = desc / np.abs(desc).max()
-                norm = float(np.linalg.norm(desc))
+                norm = math.sqrt(desc.dot(desc))
             if not math.isfinite(norm):  # any NaN or infinite entry lands here
                 raise ValueError(f"descriptor norm is {norm}; entries must be finite")
             if norm == 0.0:

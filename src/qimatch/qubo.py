@@ -114,6 +114,9 @@ def read_qubo(text: str) -> QuboInstance:
     if len(fields) != 6 or fields[0] != "p" or fields[1] != "qubo":
         raise QuboFormatError(f"line {lineno}: expected 'p qubo 0 ...' header")
     try:
+        # int() and float() also read '_' separators and non-ASCII digits
+        if "_" in raw or not raw.isascii():
+            raise ValueError
         zero, n, n_nodes, n_couplers = (int(f) for f in fields[2:])
     except ValueError:
         raise QuboFormatError(f"line {lineno}: non-integer header field") from None
@@ -130,6 +133,8 @@ def read_qubo(text: str) -> QuboInstance:
         if len(fields) != 3:
             raise QuboFormatError(f"line {lineno}: expected 'i j value'")
         try:
+            if "_" in line or not line.isascii():  # as in the header
+                raise ValueError
             i, j = int(fields[0]), int(fields[1])
             v = float(fields[2])
         except ValueError:

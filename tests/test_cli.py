@@ -167,6 +167,28 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_bytes(b"p qubo 0 1 1 0\n0 0 \xff\n")
     assert main(["solve", str(bad), "-o", str(out)]) == EXIT_PARSE
 
+    # numerals that int() and float() read but the format does not
+    for text in (
+        "p qubo 0 1_0 1 0\n0 0 -1\n",  # header field with '_'
+        "p qubo 0 1 1 0\n0 0 1_0\n",  # term value with '_'
+        "p qubo 0 2 1 0\n\u0661 \u0661 -1\n",  # Arabic-Indic digits
+    ):
+        bad.write_bytes(text.encode())
+        assert main(["solve", str(bad), "-o", str(out)]) == EXIT_PARSE, text
+
+    # graph values that are not numbers, and an id that is not a string
+    for doc in (
+        dict(point, x="3.5", descriptor=[1.0, 0.0]),
+        dict(point, x=" 7 ", descriptor=[1.0, 0.0]),
+        dict(point, x=True, descriptor=[1.0, 0.0]),
+        dict(point, descriptor=["1", "2"]),
+        dict(point, descriptor=[True, False]),
+    ):
+        badg.write_text(json.dumps({"points": [doc]}))
+        assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE, doc
+    badg.write_text(json.dumps({"id": [1, 2], "points": [dict(point, descriptor=[1.0, 0.0])]}))
+    assert main(["match", str(badg), str(badg), "-o", str(out)]) == EXIT_PARSE
+
     # every energy would be NaN, so the all-zero assignment would "win"
     inf = tmp_path / "inf.qubo"
     inf.write_text("p qubo 0 2 2 1\n0 0 -1\n1 1 -1\n0 1 inf\n")
@@ -180,6 +202,9 @@ def test_parse_error_exit_code(tmp_path):
         b"P2\n3 0\n255\n",  # zero height
         b"P2\n3 3\n255\n0 1 2 3 x 5 6 7 8\n",  # non-integer pixel
         b"P2\n3 3\n10\n0 1 2 3 11 5 6 7 8\n",  # pixel above maxval
+        b"P2\n3 3\n2_55\n0 1 2 3 4 5 6 7 8\n",  # maxval with '_'
+        b"P2\n3 3\n255\n0 1 2 3 1_0 5 6 7 8\n",  # pixel with '_'
+        b"P2\n3 3\n255\n0 1 2 3 +5 5 6 7 8\n",  # signed pixel
     ):
         pgm.write_bytes(text)
         assert main(["detect", str(pgm), "-o", str(out)]) == EXIT_PARSE, text

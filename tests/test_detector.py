@@ -239,6 +239,19 @@ class TestPgm:
             with pytest.raises(PgmFormatError):
                 read_pgm(f)
 
+    def test_ascii_digits_only(self, tmp_path):
+        f = tmp_path / "h.pgm"
+        for text, message in (
+            (b"P2\n+3 3\n255\n", "invalid width"),
+            (b"P2\n3 3\n2_55\n", "invalid maxval"),
+            (b"P2\n3 3\n255\n0 1 2 3 1_0 5 6 7 8\n", "invalid pixel value b'1_0'"),
+            (b"P2\n3 3\n255\n0 1 2 3 +5 5 6 7 8\n", "invalid pixel value b'\\+5'"),
+            (b"P2\n3 3\n255\n0 1 2 3 -5 5 6 7 8\n", "invalid pixel value b'-5'"),
+        ):
+            f.write_bytes(text)
+            with pytest.raises(PgmFormatError, match=message):
+                read_pgm(f)
+
     def test_bad_maxval(self, tmp_path):
         f = tmp_path / "g.pgm"
         f.write_text("P2\n3 3\n70000\n" + "0 " * 9)

@@ -125,6 +125,19 @@ class TestInterestPoint:
         with pytest.raises(ValueError, match="finite"):
             InterestPoint(**fields)
 
+    def test_non_real_rejected(self):
+        fields = dict(x=1.0, y=2.0, scale=1.5, orientation=0.3, descriptor=[0.6, 0.8])
+        for name, bad in (("x", "1"), ("y", True), ("scale", np.True_), ("orientation", 1j)):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                InterestPoint(**fields | {name: bad})
+        for bad in (np.array([True, False]), np.array(["0.6", "0.8"]), np.array([0.6, 0.8j]), [0.6, None]):
+            with pytest.raises(ValueError, match="^descriptor entries must be real numbers"):
+                InterestPoint(**fields | {"descriptor": bad})
+        # ints, NumPy scalars and arrays of any real kind are numbers
+        p = InterestPoint(1, np.int64(2), np.float32(1.5), 0.3, np.array([3, 4], dtype=np.int8))
+        assert (p.x, p.y, p.scale) == (1.0, 2.0, 1.5)
+        assert p.descriptor.tolist() == [0.6, 0.8]
+
 
 class TestImageGraph:
     def test_mixed_dims_rejected(self):

@@ -312,6 +312,25 @@ class TestGraphIO:
         with pytest.raises(GraphFormatError, match="^invalid JSON: nested too deeply$"):
             graph_from_json('{"points": ' + "[" * 200000 + "]" * 200000 + "}")
 
+    def test_values_that_are_not_numbers(self):
+        point = {"x": 1.0, "y": 2.0, "scale": 1.0, "orientation": 0.0, "descriptor": [1.0, 0.0]}
+        for change, message in (
+            ({"x": "3.5"}, "x must be a real number, got '3.5'"),
+            ({"y": " 7 "}, "y must be a real number, got ' 7 '"),
+            ({"scale": True}, "scale must be a real number, got True"),
+            ({"orientation": None}, "orientation must be a real number, got None"),
+            ({"descriptor": ["1", "2"]}, "descriptor entries must be real numbers, got '1'"),
+            ({"descriptor": [True, False]}, "descriptor entries must be real numbers, got True"),
+            ({"descriptor": [0.5, False]}, "descriptor entries must be real numbers, got False"),
+        ):
+            doc = json.dumps({"points": [point | change]})
+            with pytest.raises(GraphFormatError, match=f"^bad point record #0: {message}$"):
+                graph_from_json(doc)
+        for graph_id in ([1, 2], 7, None):
+            doc = json.dumps({"id": graph_id, "points": [point]})
+            with pytest.raises(GraphFormatError, match="^graph id must be a string, got "):
+                graph_from_json(doc)
+
 
 class TestExports:
     def test_dot_output(self):

@@ -293,6 +293,13 @@ class TestFormat:
         with pytest.raises(QuboFormatError, match="line 2"):
             read_qubo("p qubo 0 2 1 0\n0 0 xyz\n")
 
+    def test_numerals_only_python_reads(self):
+        with pytest.raises(QuboFormatError, match="^line 1: non-integer header field$"):
+            read_qubo("p qubo 0 1_0 1 0\n0 0 -1\n")
+        for term in ("0 0 1_0", "\u0661 \u0661 -1", "1 1 \u0661", "0\u20031 -1"):
+            with pytest.raises(QuboFormatError, match="^line 3: malformed term"):
+                read_qubo(f"p qubo 0 2 1 0\nc any text: 1_0 \u0661\n{term}\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_value(self, value):
         with pytest.raises(QuboFormatError, match="line 4: non-finite"):
