@@ -139,6 +139,8 @@ class ImageGraph:
     id: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"graph id must be a string, got {self.id!r}")
         pts = tuple(self.points)
         dims = {p.descriptor.shape[0] for p in pts}
         if len(dims) > 1:

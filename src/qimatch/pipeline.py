@@ -252,9 +252,6 @@ def graph_from_json(text: str) -> ImageGraph:
         raise GraphFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
         raise GraphFormatError("graph document must be an object with a 'points' list")
-    graph_id = obj.get("id", "")
-    if not isinstance(graph_id, str):
-        raise GraphFormatError(f"graph id must be a string, got {graph_id!r}")
     names = [f.name for f in fields(InterestPoint)]
     points = []
     for k, rec in enumerate(obj["points"]):
@@ -263,7 +260,7 @@ def graph_from_json(text: str) -> ImageGraph:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"bad point record #{k}: {exc}") from None
     try:
-        return ImageGraph(points=tuple(points), id=graph_id)
+        return ImageGraph(points=tuple(points), id=obj.get("id", ""))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
 

@@ -144,6 +144,11 @@ class TestImageGraph:
         with pytest.raises(ValueError):
             ImageGraph(points=(pt(0, 0), pt(1, 1, desc=(1.0, 0.0, 0.0))))
 
+    def test_id_must_be_a_string(self):
+        for graph_id in (5, None, ["g"]):
+            with pytest.raises(ValueError, match="^graph id must be a string, got "):
+                ImageGraph(points=(pt(0, 0),), id=graph_id)
+
     def test_descriptor_dim(self):
         g = ImageGraph(points=(pt(0, 0), pt(1, 1)), id="g")
         assert g.descriptor_dim == 2
